@@ -10,9 +10,10 @@ import argparse
 import time
 
 from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind,
-                   MuParams, SegmentationReport, append_sweep_row,
+                   MuParams, SeedOrder, SegmentationReport, append_sweep_row,
                    build_edge_weights, build_metric, eta_bounded_regions,
-                   lambda_flat_zones, mu_geodesic_balls, tooth_saw_cube)
+                   lambda_flat_zones, mu_geodesic_balls, order_classes,
+                   tooth_saw_cube)
 
 
 def main():
@@ -35,6 +36,8 @@ def main():
         print(f"lambda={lam:<4}: {zones.count} flat zone(s)")
 
     flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0), edge_weights=edges)
+    # Both passes and every value share one median-first seed ordering.
+    ordering = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
     values = []
     v = 0.0
     while v <= args.stop + 1e-9:
@@ -45,11 +48,12 @@ def main():
     print(f"{'param':>8}  {'eta regions':>12}  {'mu regions':>12}")
     for value in values:
         t0 = time.perf_counter()
-        eta_out = eta_bounded_regions(cube, metric, flat, EtaParams(value))
+        eta_out = eta_bounded_regions(cube, metric, flat, EtaParams(value),
+                                      ordering=ordering)
         eta_ms = (time.perf_counter() - t0) * 1000
         t0 = time.perf_counter()
         mu_out = mu_geodesic_balls(cube, metric, flat, MuParams(value),
-                                   edge_weights=edges)
+                                   edge_weights=edges, ordering=ordering)
         mu_ms = (time.perf_counter() - t0) * 1000
         print(f"{value:>8g}  {eta_out.count:>12}  {mu_out.count:>12}")
         if args.csv:
@@ -61,7 +65,7 @@ def main():
 
     forced = mu_geodesic_balls(cube, metric, flat,
                                MuParams(edges.total_weight()),
-                               edge_weights=edges)
+                               edge_weights=edges, ordering=ordering)
     print(f"\nmu at the total edge weight ({edges.total_weight():g}): "
           f"{forced.count} region(s)")
 

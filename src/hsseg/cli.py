@@ -18,13 +18,13 @@ from pathlib import Path
 from .errors import CubeFormatError, DegenerateMarginalError, RegionSizeCapError
 from .eta_regions import EtaParams, eta_bounded_regions
 from .flatzones import LambdaParams, lambda_flat_zones
-from .grid import Connectivity, SpectralCube, region_sizes, relabel_dense
+from .grid import Connectivity, LabelMap, SpectralCube, region_sizes, relabel_dense
 from .io import (HSC1_MAGIC, SegmentationReport, append_sweep_row, read_cube,
                  read_graymap_stack, read_label_values, write_cube,
                  write_labels, write_report)
 from .metrics import MetricKind, build_edge_weights, build_metric
 from .mu_balls import MuParams, mu_geodesic_balls
-from .seeds import SeedOrder
+from .seeds import SeedOrder, order_classes
 from .synth import ToothSawSpec, tooth_saw_cube
 
 EXIT_OK = 0
@@ -95,26 +95,47 @@ def _load_cube(paths) -> SpectralCube:
     raise CubeFormatError(f"{paths[0]}: unrecognized input format {head!r}")
 
 
-def _segment(cfg: RunConfig):
-    """Run the pass named by cfg.command and return (labels, report)."""
+def _prepare(cfg: RunConfig):
+    """Build what every pass of a run shares, once: flat zones and seed order.
+
+    Returns the flat partition and refine(algo, value), which runs one eta
+    or mu pass on the shared seed ordering; refine is None for flat runs.
+    """
     cube = _load_cube(cfg.inputs)
     metric = build_metric(cube, _METRICS[cfg.metric])
     connectivity = Connectivity(cfg.connectivity)
-    order = _ORDERS[cfg.seed_order]
-    started = time.perf_counter()
     edge_weights = build_edge_weights(metric, connectivity)
     flat = lambda_flat_zones(cube, LambdaParams(metric, cfg.lam, connectivity),
                              edge_weights=edge_weights)
     if cfg.command == "flat":
+        return flat, None
+    order = _ORDERS[cfg.seed_order]
+    ordering = order_classes(flat, metric, order)
+
+    def refine(algo: str, value: float) -> LabelMap:
+        if algo == "eta":
+            return eta_bounded_regions(cube, metric, flat, EtaParams(value, order),
+                                       connectivity, ordering=ordering)
+        return mu_geodesic_balls(cube, metric, flat, MuParams(value, order),
+                                 connectivity, edge_weights=edge_weights,
+                                 ordering=ordering)
+
+    return flat, refine
+
+
+def _segment(cfg: RunConfig):
+    """Run the pass named by cfg.command and return (labels, report).
+
+    The report's millis covers the whole run up to the labels: load, metric
+    build, edge weights, flat zones, seed ordering and the pass.
+    """
+    started = time.perf_counter()
+    flat, refine = _prepare(cfg)
+    if refine is None:
         labels, param, seed_order = flat, None, None
-    elif cfg.command == "eta":
-        labels = eta_bounded_regions(cube, metric, flat, EtaParams(cfg.eta, order),
-                                     connectivity)
-        param, seed_order = cfg.eta, cfg.seed_order
     else:
-        labels = mu_geodesic_balls(cube, metric, flat, MuParams(cfg.mu, order),
-                                   connectivity, edge_weights=edge_weights)
-        param, seed_order = cfg.mu, cfg.seed_order
+        param = cfg.eta if cfg.command == "eta" else cfg.mu
+        labels, seed_order = refine(cfg.command, param), cfg.seed_order
     millis = (time.perf_counter() - started) * 1000.0
     report = SegmentationReport.from_labels(
         labels, algorithm=cfg.command, metric=cfg.metric, lam=cfg.lam, param=param,
@@ -152,25 +173,15 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
+    """One row per grid value; each row's millis is that value's pass alone."""
     values = parse_grid(cfg.param_grid)
-    cube = _load_cube(cfg.inputs)
-    metric = build_metric(cube, _METRICS[cfg.metric])
-    connectivity = Connectivity(cfg.connectivity)
-    order = _ORDERS[cfg.seed_order]
+    _, refine = _prepare(cfg)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "sweep.csv"
-    edge_weights = build_edge_weights(metric, connectivity)
-    flat = lambda_flat_zones(cube, LambdaParams(metric, cfg.lam, connectivity),
-                             edge_weights=edge_weights)
     for value in values:
         started = time.perf_counter()
-        if cfg.algo == "eta":
-            labels = eta_bounded_regions(cube, metric, flat, EtaParams(value, order),
-                                         connectivity)
-        else:
-            labels = mu_geodesic_balls(cube, metric, flat, MuParams(value, order),
-                                       connectivity, edge_weights=edge_weights)
+        labels = refine(cfg.algo, value)
         millis = (time.perf_counter() - started) * 1000.0
         report = SegmentationReport.from_labels(
             labels, algorithm=cfg.algo, metric=cfg.metric, lam=cfg.lam, param=value,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import Connectivity, LabelMap, SpectralCube
 from .metrics import SpectralMetric, require_same_grid
-from .seeds import DEFAULT_REGION_CAP, SeedOrder, class_orderings
+from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_ordering
 
 
 @dataclass(frozen=True)
@@ -36,30 +36,30 @@ class EtaParams:
 def eta_bounded_regions(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap,
                         params: EtaParams,
                         connectivity: Connectivity = Connectivity.FOUR,
-                        *, max_region_size: int = DEFAULT_REGION_CAP) -> LabelMap:
+                        *, max_region_size: int = DEFAULT_REGION_CAP,
+                        ordering: ClassOrdering | None = None) -> LabelMap:
     """Refine a flat-zone partition into eta-bounded regions.
 
     The output refines `flat`; labels follow extraction order (class by
     class, then seed by seed). A seed always accepts itself since its self
-    distance is 0 <= eta, so every pixel ends up assigned.
+    distance is 0 <= eta, so every pixel ends up assigned. `ordering`, from
+    `order_classes` on the same partition, skips recomputing the seeds.
     """
     require_same_grid(cube, metric)
     if flat.labels.shape != (cube.height, cube.width):
         raise ValueError("flat partition does not match the cube grid")
 
+    ordering = resolve_ordering(flat, metric, params.seed_order, max_region_size, ordering)
+
     w, h = cube.width, cube.height
     out = np.full(w * h, -1, dtype=np.int32)
     offsets = connectivity.offsets
     next_label = 0
-    for _, pts, order in class_orderings(flat, metric, params.seed_order, max_region_size):
+    for pts in ordering.classes():
         accept = np.zeros(w * h, dtype=bool)
-        pos = 0
-        while True:
-            while pos < len(order) and out[pts[order[pos]]] != -1:
-                pos += 1
-            if pos == len(order):
-                break
-            seed = int(pts[order[pos]])
+        for seed in pts.tolist():
+            if out[seed] != -1:
+                continue
             within = metric.distances_flat(seed, pts) <= params.eta
             accept[pts] = within
             out[seed] = next_label

@@ -11,6 +11,8 @@ one-line-per-field text plus an appendable CSV row for sweep curves.
 
 from __future__ import annotations
 
+import itertools
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,7 +127,14 @@ def _read_graymap(path) -> tuple[int, int, np.ndarray]:
             raise TruncatedFileError(
                 f"{path}: raster expects {width * height} samples, found {len(text)}"
             )
-        samples = np.array([int(t) for t in text[: width * height]])
+        text = text[: width * height]
+        bad = next((k for k, tok in enumerate(text) if not tok.isdigit()), None)
+        if bad is not None:
+            tokens = re.finditer(rb"\S+", buf[pos:])
+            offset = pos + next(itertools.islice(tokens, bad, None)).start()
+            kind = "negative" if text[bad].startswith(b"-") else "non-integer"
+            raise CubeFormatError(f"{path}: {kind} sample {text[bad]!r} at byte {offset}")
+        samples = np.array([int(t) for t in text])
     if samples.max(initial=0) > maxval:
         raise BadHeaderError(f"{path}: sample exceeds declared maxval {maxval}")
     return width, height, samples.astype(np.int64).reshape(height, width)

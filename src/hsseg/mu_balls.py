@@ -20,7 +20,7 @@ import numpy as np
 from .grid import Connectivity, LabelMap, PixelIndex, SpectralCube
 from .metrics import (EdgeWeights, SpectralMetric, build_edge_weights,
                       require_same_grid)
-from .seeds import DEFAULT_REGION_CAP, SeedOrder, class_orderings
+from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_ordering
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,14 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
                       params: MuParams,
                       connectivity: Connectivity = Connectivity.FOUR,
                       *, edge_weights: EdgeWeights | None = None,
-                      max_region_size: int = DEFAULT_REGION_CAP) -> LabelMap:
+                      max_region_size: int = DEFAULT_REGION_CAP,
+                      ordering: ClassOrdering | None = None) -> LabelMap:
     """Refine a flat-zone partition into geodesic balls of radius mu.
 
     The output refines `flat`; labels follow extraction order. The seed is
     always reachable at distance 0, so every class is fully covered.
+    `ordering`, from `order_classes` on the same partition, skips
+    recomputing the seeds.
     """
     require_same_grid(cube, metric)
     if flat.labels.shape != (cube.height, cube.width):
@@ -113,20 +116,17 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
         edge_weights = build_edge_weights(metric, connectivity)
     elif edge_weights.connectivity is not connectivity:
         raise ValueError("edge_weights connectivity does not match")
+    ordering = resolve_ordering(flat, metric, params.seed_order, max_region_size, ordering)
 
     w, h = cube.width, cube.height
     out = np.full(w * h, -1, dtype=np.int32)
     in_class = np.zeros(w * h, dtype=bool)
     next_label = 0
-    for _, pts, order in class_orderings(flat, metric, params.seed_order, max_region_size):
+    for pts in ordering.classes():
         in_class[pts] = True
-        pos = 0
-        while True:
-            while pos < len(order) and out[pts[order[pos]]] != -1:
-                pos += 1
-            if pos == len(order):
-                break
-            seed = int(pts[order[pos]])
+        for seed in pts.tolist():
+            if out[seed] != -1:
+                continue
             if params.full_class_paths:
                 domain = in_class
             else:

@@ -5,7 +5,10 @@ distances from p to every member of R. Sorting the region ascending by that
 quantity puts the vectorial median first; the reverse order starts at the
 anti-median. Both refinement passes consume the list destructively through
 an assigned-pixel predicate, so later seeds are medians of the original
-region ordering, not of the unassigned remainder.
+region ordering, not of the unassigned remainder. The ordering depends
+only on the flat partition, the metric and the seed order, so
+`order_classes` computes it once for all classes, and both passes and any
+number of parameter values share that one `ClassOrdering`.
 """
 
 from __future__ import annotations
@@ -37,13 +40,6 @@ def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ordered_indices(pts_flat: np.ndarray, cumdists: np.ndarray, order: SeedOrder) -> np.ndarray:
-    # Ties in cumulative distance break on ascending raster index.
-    if order is SeedOrder.MEDIAN_FIRST:
-        return np.lexsort((pts_flat, cumdists))
-    return np.lexsort((pts_flat, -cumdists))
-
-
 def cumulative_distances(metric: SpectralMetric, region: Iterable,
                          *, max_region_size: int = DEFAULT_REGION_CAP) -> dict[PixelIndex, float]:
     """Map each region pixel to its summed distance to all region pixels.
@@ -62,7 +58,11 @@ def cumulative_distances(metric: SpectralMetric, region: Iterable,
             f"raise max_region_size to accept the O(K^2) cost"
         )
     flat = np.array([metric.flat_index(p) for p in pts], dtype=np.intp)
-    cd = _cumdist(metric, flat)
+    # Sum in raster order, as class_orderings does, so the floats (and the
+    # near-tie seeds they rank) do not depend on how the region is listed.
+    raster = np.argsort(flat)
+    cd = np.empty(len(flat))
+    cd[raster] = _cumdist(metric, flat[raster])
     return {p: float(c) for p, c in zip(pts, cd)}
 
 
@@ -106,20 +106,91 @@ def pop_first_unassigned(seed_list: SeedList, assigned: Callable[[PixelIndex], b
     return None
 
 
+_SINGLETON_KEY = np.zeros(1)
+_SINGLETON_KEY.flags.writeable = False
+
+
 def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
                     max_region_size: int = DEFAULT_REGION_CAP):
-    """Yield (label, class_pixels_flat, seed_order) per class of a partition.
+    """Yield (label, class_pixels_flat, keys) per class of a partition.
 
-    Class pixels come out in raster order; the accompanying index array
-    sorts them by cumulative distance with raster tie breaks, reversed for
-    ANTIMEDIAN_FIRST. Shared by both refinement passes.
+    One stable argsort of the labels groups the pixels, so each class comes
+    out in raster order. keys are the cumulative distances, negated for
+    ANTIMEDIAN_FIRST, so ascending keys with raster tie breaks give the seed
+    order. Every class is checked against the cap before any cumulative
+    distance is computed; a one-pixel class gets 0.0 without the kernel.
     """
     lab = flat.labels.ravel()
-    for c in range(flat.count):
-        pts = np.flatnonzero(lab == c)
-        if len(pts) > max_region_size:
-            raise RegionSizeCapError(
-                f"class {c} has {len(pts)} pixels, above the cap of {max_region_size}"
-            )
-        cd = _cumdist(metric, pts)
-        yield c, pts, _ordered_indices(pts, cd, order)
+    grouped = np.argsort(lab, kind="stable")
+    sizes = np.bincount(lab, minlength=flat.count)
+    over = np.flatnonzero(sizes > max_region_size)
+    if len(over):
+        c = int(over[0])
+        raise RegionSizeCapError(
+            f"class {c} has {sizes[c]} pixels, above the cap of {max_region_size}"
+        )
+    sign = 1.0 if order is SeedOrder.MEDIAN_FIRST else -1.0
+    start = 0
+    for c, size in enumerate(sizes):
+        pts = grouped[start:start + size]
+        yield c, pts, _SINGLETON_KEY if size == 1 else sign * _cumdist(metric, pts)
+        start += size
+
+
+@dataclass(frozen=True, eq=False)
+class ClassOrdering:
+    """Seed sequence of every class of one flat partition, as flat arrays.
+
+    pixels holds each raster index once, grouped by class label and in seed
+    order within a class: class c is pixels[offsets[c]:offsets[c + 1]]. It
+    depends only on the partition, the metric and the seed order, so one
+    instance serves both passes and every parameter value.
+    """
+
+    order: SeedOrder
+    pixels: np.ndarray
+    offsets: np.ndarray
+
+    def classes(self):
+        """Yield each class's pixels in seed order."""
+        for start, end in zip(self.offsets[:-1], self.offsets[1:]):
+            yield self.pixels[start:end]
+
+
+def order_classes(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
+                  max_region_size: int = DEFAULT_REGION_CAP) -> ClassOrdering:
+    """Seed sequence of every class, from one pass over class_orderings.
+
+    One lexsort over (label, key, raster index) orders all classes at once;
+    ties in cumulative distance break on ascending raster index.
+    """
+    n = flat.labels.size
+    pixels = np.empty(n, dtype=np.intp)
+    keys = np.empty(n)
+    offsets = np.zeros(flat.count + 1, dtype=np.intp)
+    start = 0
+    for c, pts, class_keys in class_orderings(flat, metric, order, max_region_size):
+        end = start + len(pts)
+        pixels[start:end] = pts
+        keys[start:end] = class_keys
+        offsets[c + 1] = end
+        start = end
+    seq = np.lexsort((pixels, keys, flat.labels.ravel()[pixels]))
+    return ClassOrdering(order, pixels[seq], offsets)
+
+
+def resolve_ordering(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
+                     max_region_size: int, ordering: ClassOrdering | None) -> ClassOrdering:
+    """The given ordering, checked against flat and order, or a fresh one.
+
+    A given ordering was checked against its own cap when it was built.
+    """
+    if ordering is None:
+        return order_classes(flat, metric, order, max_region_size)
+    if ordering.order is not order:
+        raise ValueError(
+            f"ordering is {ordering.order.value}-first, params ask for {order.value}-first"
+        )
+    if len(ordering.offsets) != flat.count + 1 or len(ordering.pixels) != flat.labels.size:
+        raise ValueError("ordering does not match the flat partition")
+    return ordering

@@ -163,6 +163,12 @@ def test_error_exit_codes(tmp_path, capsys):
     # missing file
     assert run_cli("flat", "--input", tmp_path / "nope.hsc", "--lambda", 1,
                    "--outdir", tmp_path) == 6
+    # a P2 sample that is not a number is a format error, not a usage error
+    ascii_bad = tmp_path / "bad.pgm"
+    ascii_bad.write_bytes(b"P2 2 1 9\nx 4\n")
+    assert run_cli("flat", "--input", ascii_bad, "--lambda", 1,
+                   "--outdir", tmp_path) == 3
+    assert "bad.pgm: non-integer sample b'x' at byte 9" in capsys.readouterr().err
     # all-zero pixel breaks the chi-squared marginals
     zero = tmp_path / "zero.pgm"
     zero.write_bytes(b"P5\n2 1\n255\n\x00\x05")
@@ -184,3 +190,98 @@ def test_console_entry_point(tmp_path):
          "--lambda", "1", "--bogus"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def _report_millis(path):
+    line = next(ln for ln in path.read_text().splitlines() if ln.startswith("millis: "))
+    return float(line.split()[1])
+
+
+def test_millis_covers_the_whole_run(saw_file, tmp_path, monkeypatch):
+    import time
+
+    import hsseg.cli
+
+    load = hsseg.cli._load_cube
+
+    def slow_load(paths):
+        time.sleep(0.3)
+        return load(paths)
+
+    monkeypatch.setattr(hsseg.cli, "_load_cube", slow_load)
+    out = tmp_path / "eta"
+    assert run_cli("eta", "--input", saw_file, "--lambda", 10, "--eta", 20,
+                   "--outdir", out) == 0
+    assert _report_millis(out / "report.txt") >= 300.0
+    # sweep rows time their own pass; the shared set-up is in no row
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--algo", "eta", "--input", saw_file, "--lambda", 10,
+                   "--param", "0:20:10", "--outdir", out) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert all(float(r.split(",")[7]) < 300.0 for r in rows)
+
+
+@pytest.fixture
+def quantized_file(tmp_path):
+    from hsseg import SpectralCube, write_cube
+
+    rng = np.random.default_rng(17)
+    path = tmp_path / "q.hsc"
+    write_cube(SpectralCube(rng.choice([0.0, 1.0, 2.0], size=(9, 8, 2))), path)
+    return path
+
+
+@pytest.mark.parametrize("algo", ["eta", "mu"])
+@pytest.mark.parametrize("order", ["median", "antimedian"])
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_sweep_rows_match_standalone_runs(quantized_file, tmp_path, capsys,
+                                          algo, order, connectivity):
+    common = ("--input", quantized_file, "--lambda", 1.5, "--seed-order", order,
+              "--connectivity", connectivity)
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--algo", algo, *common, "--param", "0:3:0.5",
+                   "--outdir", out) == 0
+    rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 7
+    capsys.readouterr()
+    for row in rows:
+        assert run_cli(algo, *common, f"--{algo}", row[3],
+                       "--outdir", tmp_path / "one" / row[3]) == 0
+        assert capsys.readouterr().out.strip() == f"regions: {row[6]}"
+
+
+def test_sweep_orders_seeds_once(saw_file, tmp_path, monkeypatch):
+    import hsseg.seeds
+
+    calls = []
+    inner = hsseg.seeds.class_orderings
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hsseg.seeds, "class_orderings", counted)
+    for algo in ("eta", "mu"):
+        for grid in ("0:20:10", "0:100:10"):
+            calls.clear()
+            assert run_cli("sweep", "--algo", algo, "--input", saw_file,
+                           "--lambda", 10, "--param", grid,
+                           "--outdir", tmp_path / algo / grid.replace(":", "_")) == 0
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [("eta", "--eta", 1), ("mu", "--mu", 1),
+                                     ("sweep", "--algo", "eta", "--param", "0:2:1")])
+def test_region_cap_fails_before_ordering(tmp_path, capsys, monkeypatch, command):
+    # 224 x 224 = 50 176 pixels, one class at lambda inf: over the 50 000 cap
+    import hsseg.seeds
+    from hsseg import SpectralCube, write_cube
+
+    calls = []
+    monkeypatch.setattr(hsseg.seeds, "_cumdist", lambda m, p: calls.append(len(p)))
+    path = tmp_path / "big.hsc"
+    write_cube(SpectralCube(np.zeros((224, 224, 1))), path)
+    assert run_cli(*command, "--input", path, "--lambda", "inf",
+                   "--outdir", tmp_path / "out") == 5
+    assert "class 0 has 50176 pixels" in capsys.readouterr().err
+    assert calls == []

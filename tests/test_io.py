@@ -145,6 +145,21 @@ def test_p2_with_comments(tmp_path):
     assert cube.data[0, :, 0].tolist() == [5.0, 10.0, 20.0]
 
 
+def test_p2_rejects_non_integer_and_negative_samples(tmp_path):
+    bad = tmp_path / "word.pgm"
+    bad.write_bytes(b"P2 2 1 9\nx 4\n")
+    with pytest.raises(CubeFormatError, match=r"word\.pgm: non-integer sample b'x' at byte 9"):
+        read_graymap_stack([bad])
+    neg = tmp_path / "neg.pgm"
+    neg.write_bytes(b"P2\n# c\n2 1 9\n4 -3\n")
+    with pytest.raises(CubeFormatError, match=r"neg\.pgm: negative sample b'-3' at byte 15"):
+        read_graymap_stack([neg])
+    frac = tmp_path / "frac.pgm"
+    frac.write_bytes(b"P2 2 1 9 4 2.5")
+    with pytest.raises(CubeFormatError, match="non-integer sample b'2.5' at byte 11"):
+        read_label_values(frac)
+
+
 def test_sixteen_bit_graymap(tmp_path):
     p = tmp_path / "deep.pgm"
     p.write_bytes(b"P5\n2 1\n65535\n" + bytes([0x01, 0x00, 0x02, 0x03]))

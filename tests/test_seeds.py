@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (MetricKind, PixelIndex, RegionSizeCapError, SeedList,
-                   SeedOrder, SpectralCube, build_metric, build_seed_list,
-                   cumulative_distances, pop_first_unassigned)
+from hsseg import (EtaParams, LambdaParams, MetricKind, MuParams, PixelIndex,
+                   RegionSizeCapError, SeedList, SeedOrder, SpectralCube,
+                   build_metric, build_seed_list, cumulative_distances,
+                   eta_bounded_regions, lambda_flat_zones, mu_geodesic_balls,
+                   order_classes, pop_first_unassigned, relabel_dense)
+from hsseg import seeds
+from hsseg.seeds import class_orderings
 
 from conftest import cubes
 from oracles import naive_cumdists
@@ -124,3 +128,108 @@ def test_pop_first_unassigned():
 
     empty = SeedList(entries=[], order=SeedOrder.MEDIAN_FIRST)
     assert pop_first_unassigned(empty, lambda p: False) is None
+
+
+# ---------------------------------------------------------------------------
+# Shared class orderings
+
+def _reference_orderings(flat, metric, order):
+    """Per-class seed sequences the way they were built before grouping:
+    a full-grid scan per class, the row-loop kernel, one lexsort per class."""
+    lab = flat.labels.ravel()
+    cf = metric.coords_flat
+    classes, keys = [], []
+    for c in range(flat.count):
+        pts = np.flatnonzero(lab == c)
+        coords = cf[pts]
+        cd = np.empty(len(pts))
+        for i in range(len(pts)):
+            cd[i] = np.sqrt(np.square(coords - coords[i]).sum(axis=1)).sum()
+        key = cd if order is SeedOrder.MEDIAN_FIRST else -cd
+        classes.append(pts[np.lexsort((pts, key))])
+        keys.append(key)
+    return classes, keys
+
+
+def _random_partition(rng, h, w):
+    """Dense labels mixing multi-pixel classes with a few singletons."""
+    raw = rng.integers(0, 4, size=h * w)
+    singles = rng.choice(h * w, size=min(3, h * w), replace=False)
+    raw[singles] = 100 + np.arange(len(singles))
+    return relabel_dense(raw.reshape(h, w))
+
+
+@pytest.mark.parametrize("order", list(SeedOrder))
+def test_order_classes_matches_per_class_reference(order):
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        # quantized levels repeat spectra, so cumulative distances tie exactly
+        cube = SpectralCube(rng.choice([0.0, 0.5, 1.0], size=(h, w, 2)))
+        metric = build_metric(cube, MetricKind.EUCLIDEAN)
+        flat = _random_partition(rng, h, w)
+        classes, keys = _reference_orderings(flat, metric, order)
+
+        got = order_classes(flat, metric, order)
+        assert got.order is order
+        assert got.offsets.tolist() == np.cumsum([0] + [len(c) for c in classes]).tolist()
+        for mine, ref in zip(got.classes(), classes, strict=True):
+            assert mine.tolist() == ref.tolist()
+        for c, pts, key in class_orderings(flat, metric, order):
+            assert pts.tolist() == np.flatnonzero(flat.labels.ravel() == c).tolist()
+            if len(pts) == 1:
+                assert key.tolist() == [0.0]
+            else:
+                assert key.tobytes() == keys[c].tobytes()
+
+
+def test_singleton_classes_skip_the_kernel(monkeypatch):
+    calls = []
+    kernel = seeds._cumdist
+    monkeypatch.setattr(seeds, "_cumdist", lambda m, p: calls.append(len(p)) or kernel(m, p))
+    cube = SpectralCube(np.arange(6, dtype=float).reshape(2, 3, 1))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    flat = relabel_dense(np.array([[0, 0, 1], [2, 0, 3]]))
+    got = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+    assert calls == [3]
+    # class 0 holds values 0, 1, 4 (cumdists 5, 4, 7): median first
+    assert [c.tolist() for c in got.classes()] == [[1, 0, 4], [2], [3], [5]]
+
+
+def test_region_cap_checked_before_any_kernel_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(seeds, "_cumdist", lambda m, p: calls.append(len(p)))
+    cube = SpectralCube(np.arange(8, dtype=float).reshape(2, 4, 1))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    # class 0 (two pixels) is under the cap; class 1 (six pixels) is over it
+    flat = relabel_dense(np.array([[0, 0, 1, 1], [1, 1, 1, 1]]))
+    with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
+        order_classes(flat, metric, SeedOrder.MEDIAN_FIRST, max_region_size=4)
+    with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
+        eta_bounded_regions(cube, metric, flat, EtaParams(1.0), max_region_size=4)
+    with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
+        mu_geodesic_balls(cube, metric, flat, MuParams(1.0), max_region_size=4)
+    assert calls == []
+
+
+def test_passes_reuse_a_matching_ordering_only():
+    rng = np.random.default_rng(5)
+    cube = SpectralCube(rng.choice([0.0, 0.5, 1.0], size=(6, 5, 2)))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    flat = lambda_flat_zones(cube, LambdaParams(metric, 0.6))
+    med = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+    for value in (0.0, 0.5, 2.0):
+        fresh = eta_bounded_regions(cube, metric, flat, EtaParams(value))
+        shared = eta_bounded_regions(cube, metric, flat, EtaParams(value), ordering=med)
+        assert np.array_equal(fresh.labels, shared.labels)
+        fresh = mu_geodesic_balls(cube, metric, flat, MuParams(value))
+        shared = mu_geodesic_balls(cube, metric, flat, MuParams(value), ordering=med)
+        assert np.array_equal(fresh.labels, shared.labels)
+    anti = SeedOrder.ANTIMEDIAN_FIRST
+    with pytest.raises(ValueError, match="median-first"):
+        eta_bounded_regions(cube, metric, flat, EtaParams(1.0, anti), ordering=med)
+    with pytest.raises(ValueError, match="median-first"):
+        mu_geodesic_balls(cube, metric, flat, MuParams(1.0, anti), ordering=med)
+    other = lambda_flat_zones(cube, LambdaParams(metric, 0.0))
+    with pytest.raises(ValueError, match="flat partition"):
+        eta_bounded_regions(cube, metric, other, EtaParams(1.0), ordering=med)
