@@ -21,9 +21,7 @@ from .io import (SegmentationReport, append_sweep_row, read_cube,
 from .metrics import (EdgeWeights, MetricKind, SpectralMetric,
                       build_edge_weights, build_metric)
 from .mu_balls import MuParams, geodesic_ball, mu_geodesic_balls
-from .seeds import (DEFAULT_REGION_CAP, ClassOrdering, SeedList, SeedOrder,
-                    build_seed_list, cumulative_distances, order_classes,
-                    pop_first_unassigned)
+from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, order_classes
 from .synth import ToothSawSpec, tooth_saw_cube, tooth_saw_profile
 
 __version__ = "0.1.0"
@@ -33,13 +31,12 @@ __all__ = [
     "CubeFormatError", "DEFAULT_REGION_CAP", "DegenerateMarginalError",
     "EdgeWeights", "EtaParams", "HssegError", "LabelMap", "LambdaParams",
     "MetricKind", "MuParams", "PixelIndex", "RegionSizeCapError",
-    "SeedList", "SeedOrder", "SegmentationReport", "SpectralCube",
-    "SpectralMetric", "TruncatedFileError", "ToothSawSpec",
-    "append_sweep_row", "build_edge_weights", "build_metric",
-    "build_seed_list", "classes_are_connected", "cumulative_distances",
+    "SeedOrder", "SegmentationReport", "SpectralCube", "SpectralMetric",
+    "TruncatedFileError", "ToothSawSpec", "append_sweep_row",
+    "build_edge_weights", "build_metric", "classes_are_connected",
     "eta_bounded_regions", "geodesic_ball", "is_refinement",
     "lambda_flat_zones", "mu_geodesic_balls", "neighbors", "order_classes",
-    "pop_first_unassigned", "read_cube", "read_graymap_stack",
-    "read_labels", "region_sizes", "relabel_dense", "tooth_saw_cube",
-    "tooth_saw_profile", "write_cube", "write_labels", "write_report",
+    "read_cube", "read_graymap_stack", "read_labels", "region_sizes",
+    "relabel_dense", "tooth_saw_cube", "tooth_saw_profile", "write_cube",
+    "write_labels", "write_report",
 ]

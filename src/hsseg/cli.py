@@ -162,8 +162,8 @@ def parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if math.isnan(start) or math.isnan(stop) or math.isnan(step):
-        raise ValueError("grid values must be numbers")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid values must be finite numbers, got {text!r}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:

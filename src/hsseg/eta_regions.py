@@ -54,9 +54,11 @@ def eta_bounded_regions(cube: SpectralCube, metric: SpectralMetric, flat: LabelM
     w, h = cube.width, cube.height
     out = np.full(w * h, -1, dtype=np.int32)
     offsets = connectivity.offsets
+    # One mask per pass: entries left over from earlier classes sit on
+    # assigned pixels, which the growth never enters.
+    accept = np.zeros(w * h, dtype=bool)
     next_label = 0
     for pts in ordering.classes():
-        accept = np.zeros(w * h, dtype=bool)
         for seed in pts.tolist():
             if out[seed] != -1:
                 continue

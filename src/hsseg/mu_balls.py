@@ -3,10 +3,10 @@
 The geodesic distance between two pixels is the minimum over connecting
 paths of the summed per-step spectral distances. From each seed (taken in
 cumulative-distance order) the ball of radius mu is extracted with a
-priority-queue shortest-path expansion restricted, by default, to the
-not-yet-assigned remainder of the flat-zone class: paths may not route
-through pixels already claimed by earlier balls. Geodesic reachability
-makes every ball connected.
+priority-queue shortest-path expansion restricted to the not-yet-assigned
+remainder of the flat-zone class: paths may not route through pixels
+already claimed by earlier balls. Geodesic reachability makes every ball
+connected.
 """
 
 from __future__ import annotations
@@ -25,16 +25,10 @@ from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_orderin
 
 @dataclass(frozen=True)
 class MuParams:
-    """Geodesic radius and seed ordering for one refinement run.
-
-    With full_class_paths the expansion runs over the whole class, so paths
-    may cross already-assigned pixels; only unassigned pixels are labeled.
-    That variant can produce regions that are not connected on their own.
-    """
+    """Geodesic radius and seed ordering for one refinement run."""
 
     mu: float
     seed_order: SeedOrder = SeedOrder.MEDIAN_FIRST
-    full_class_paths: bool = False
 
     def __post_init__(self):
         if math.isnan(self.mu) or self.mu < 0:
@@ -120,21 +114,17 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
 
     w, h = cube.width, cube.height
     out = np.full(w * h, -1, dtype=np.int32)
-    in_class = np.zeros(w * h, dtype=bool)
+    # The Dijkstra domain: unassigned pixels of the current class. A finished
+    # class has none left, so the mask never needs clearing.
+    free = np.zeros(w * h, dtype=bool)
     next_label = 0
     for pts in ordering.classes():
-        in_class[pts] = True
+        free[pts] = True
         for seed in pts.tolist():
-            if out[seed] != -1:
+            if not free[seed]:
                 continue
-            if params.full_class_paths:
-                domain = in_class
-            else:
-                domain = in_class & (out == -1)
-            ball = _dijkstra_ball(edge_weights, domain, seed, params.mu)
-            for i in ball:
-                if out[i] == -1:
-                    out[i] = next_label
+            ball = list(_dijkstra_ball(edge_weights, free, seed, params.mu))
+            out[ball] = next_label
+            free[ball] = False
             next_label += 1
-        in_class[pts] = False
     return LabelMap(out.reshape(h, w), next_label)

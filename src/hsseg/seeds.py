@@ -1,26 +1,26 @@
-"""Per-region cumulative-distance ordering and median / anti-median seeds.
+"""Class-wide cumulative-distance ordering and median / anti-median seeds.
 
-For a region R, the cumulative distance of p is the sum of spectral
-distances from p to every member of R. Sorting the region ascending by that
-quantity puts the vectorial median first; the reverse order starts at the
-anti-median. Both refinement passes consume the list destructively through
-an assigned-pixel predicate, so later seeds are medians of the original
-region ordering, not of the unassigned remainder. The ordering depends
-only on the flat partition, the metric and the seed order, so
-`order_classes` computes it once for all classes, and both passes and any
-number of parameter values share that one `ClassOrdering`.
+For a flat-zone class C, the cumulative distance of p is the sum of
+spectral distances from p to every member of C. Sorting the class ascending
+by that quantity puts the vectorial median first; the reverse order starts
+at the anti-median, and ties break on ascending raster index. Both
+refinement passes walk that one sequence and skip pixels an earlier region
+already took, so later seeds are medians of the original class ordering,
+not of the unassigned remainder. The ordering depends only on the flat
+partition, the metric and the seed order, so `order_classes` computes it
+once for all classes, and both passes and any number of parameter values
+share that one `ClassOrdering`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import RegionSizeCapError
-from .grid import LabelMap, PixelIndex
+from .grid import LabelMap
 from .metrics import SpectralMetric
 
 DEFAULT_REGION_CAP = 50_000
@@ -38,72 +38,6 @@ def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
     for i in range(len(pts_flat)):
         out[i] = np.sqrt(np.square(coords - coords[i]).sum(axis=1)).sum()
     return out
-
-
-def cumulative_distances(metric: SpectralMetric, region: Iterable,
-                         *, max_region_size: int = DEFAULT_REGION_CAP) -> dict[PixelIndex, float]:
-    """Map each region pixel to its summed distance to all region pixels.
-
-    The evaluation is exact and quadratic in the region size; regions above
-    `max_region_size` are rejected so the cost cliff is explicit.
-    """
-    pts = [PixelIndex(int(p[0]), int(p[1])) for p in region]
-    if not pts:
-        raise ValueError("region is empty")
-    if len(set(pts)) != len(pts):
-        raise ValueError("region contains duplicate pixels")
-    if len(pts) > max_region_size:
-        raise RegionSizeCapError(
-            f"region has {len(pts)} pixels, above the cap of {max_region_size}; "
-            f"raise max_region_size to accept the O(K^2) cost"
-        )
-    flat = np.array([metric.flat_index(p) for p in pts], dtype=np.intp)
-    # Sum in raster order, as class_orderings does, so the floats (and the
-    # near-tie seeds they rank) do not depend on how the region is listed.
-    raster = np.argsort(flat)
-    cd = np.empty(len(flat))
-    cd[raster] = _cumdist(metric, flat[raster])
-    return {p: float(c) for p, c in zip(pts, cd)}
-
-
-@dataclass
-class SeedList:
-    """Region pixels ordered by cumulative distance, consumed destructively.
-
-    entries holds (pixel, cumdist) pairs; for MEDIAN_FIRST the first entry
-    is the vectorial median, for ANTIMEDIAN_FIRST the anti-median.
-    """
-
-    entries: list[tuple[PixelIndex, float]]
-    order: SeedOrder
-    region: int | None = None
-    _cursor: int = field(default=0, repr=False)
-
-
-def build_seed_list(cumdists: Mapping, order: SeedOrder, region: int | None = None) -> SeedList:
-    if not cumdists:
-        raise ValueError("cumdists is empty")
-    items = [(PixelIndex(int(p[0]), int(p[1])), float(c)) for p, c in cumdists.items()]
-    if order is SeedOrder.MEDIAN_FIRST:
-        items.sort(key=lambda e: (e[1], e[0].y, e[0].x))
-    else:
-        items.sort(key=lambda e: (-e[1], e[0].y, e[0].x))
-    return SeedList(entries=items, order=order, region=region)
-
-
-def pop_first_unassigned(seed_list: SeedList, assigned: Callable[[PixelIndex], bool]) -> PixelIndex | None:
-    """First not-yet-assigned entry, or None once the list is exhausted.
-
-    Entries skipped as assigned are dropped for good; a pixel never becomes
-    unassigned again within one segmentation pass.
-    """
-    entries = seed_list.entries
-    while seed_list._cursor < len(entries):
-        p, _ = entries[seed_list._cursor]
-        seed_list._cursor += 1
-        if not assigned(p):
-            return p
-    return None
 
 
 _SINGLETON_KEY = np.zeros(1)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hsseg import MetricKind, SpectralCube, build_metric
+from hsseg import (LabelMap, MetricKind, PixelIndex, SeedOrder, SpectralCube,
+                   build_metric, order_classes)
+from hsseg.seeds import DEFAULT_REGION_CAP, class_orderings
 
 # Quantized value levels give repeated spectra, so flat zones and ties with
 # zero-weight edges actually occur in the random data.
@@ -32,6 +34,25 @@ def random_cube(rng, max_side, max_bands, positive=False):
     b = int(rng.integers(1, max_bands + 1))
     levels = np.array(POSITIVE_LEVELS if positive else LEVELS)
     return SpectralCube(rng.choice(levels, size=(h, w, b)))
+
+
+def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST,
+                 max_region_size=DEFAULT_REGION_CAP):
+    """Sort keys and seed order of a region, through the array seed API.
+
+    The region becomes class 0 of a two-class partition (the rest of the
+    grid is class 1). Keys come from class_orderings and are negated for
+    ANTIMEDIAN_FIRST; seeds come from order_classes.
+    """
+    w = metric.width
+    labels = np.ones((metric.height, w), dtype=np.int32)
+    for x, y in region:
+        labels[y, x] = 0
+    flat = LabelMap(labels)
+    _, pts, keys = next(class_orderings(flat, metric, order, max_region_size))
+    key = {PixelIndex(i % w, i // w): float(k) for i, k in zip(pts.tolist(), keys)}
+    first = next(order_classes(flat, metric, order, max_region_size).classes())
+    return key, [PixelIndex(i % w, i // w) for i in first.tolist()]
 
 
 def metric_for(cube, kind):

@@ -4,8 +4,8 @@ These deliberately avoid the library's algorithmic machinery: flat zones
 come from union-find transitive closure over thresholded edges, bounded
 regions from fixed-point set growth, and geodesic balls from Bellman-Ford
 relaxation. Seed ordering follows the same discipline as the library
-(cumulative distance, raster tie breaks) but is recomputed here with
-scalar double loops.
+(cumulative distance, raster tie breaks) but is recomputed here, class by
+class, without the library's seed code.
 """
 
 from __future__ import annotations
@@ -78,26 +78,38 @@ def naive_cumdists(metric, pixels):
     return {p: sum(metric.distance(p, q) for q in pixels) for p in pixels}
 
 
-def seed_sequence(metric, pixels, antimedian=False):
-    """Seed ordering with the same discipline as the library passes.
+def reference_orderings(flat, metric, antimedian=False):
+    """Per-class seed sequences (raster indices) and sort keys, by label.
 
-    Built through the public seed API so both sides rank seeds on identical
-    cumulative-distance floats; the growth logic stays independent. Seed
-    selection itself is validated against naive_cumdists elsewhere.
+    A full-grid scan per class lists its pixels in raster order, a row loop
+    gives their cumulative distances (negated for the anti-median), and one
+    lexsort per class orders them by (key, raster index).
     """
-    from hsseg import SeedOrder, build_seed_list, cumulative_distances
+    lab = flat.labels.ravel()
+    cf = metric.coords_flat
+    classes, keys = [], []
+    for c in range(flat.count):
+        pts = np.flatnonzero(lab == c)
+        coords = cf[pts]
+        # The library kernel's expression and summation order rather than
+        # naive_cumdists: quantized test cubes have near-ties, and another
+        # summation order could round them, and so rank seeds, differently.
+        cd = np.empty(len(pts))
+        for i in range(len(pts)):
+            cd[i] = np.sqrt(np.square(coords - coords[i]).sum(axis=1)).sum()
+        key = -cd if antimedian else cd
+        classes.append(pts[np.lexsort((pts, key))])
+        keys.append(key)
+    return classes, keys
 
-    order = SeedOrder.ANTIMEDIAN_FIRST if antimedian else SeedOrder.MEDIAN_FIRST
-    entries = build_seed_list(cumulative_distances(metric, pixels), order).entries
-    return [p for p, _ in entries]
 
-
-def _class_pixel_lists(flat: LabelMap):
-    by_class = [[] for _ in range(flat.count)]
-    for y in range(flat.height):
-        for x in range(flat.width):
-            by_class[flat.labels[y, x]].append(PixelIndex(x, y))
-    return by_class
+def seed_sequence(metric, flat, antimedian=False):
+    """Each class's pixels in raster order, paired with its seed sequence."""
+    w = flat.width
+    classes, _ = reference_orderings(flat, metric, antimedian)
+    for seq in classes:
+        seeds = [PixelIndex(i % w, i // w) for i in seq.tolist()]
+        yield sorted(seeds, key=lambda p: (p.y, p.x)), seeds
 
 
 def eta_regions_bruteforce(cube, metric, flat, eta, antimedian=False,
@@ -110,8 +122,7 @@ def eta_regions_bruteforce(cube, metric, flat, eta, antimedian=False,
     out = np.full((h, w), -1, dtype=np.int64)
     regions = []
     next_label = 0
-    for pixels in _class_pixel_lists(flat):
-        ordering = seed_sequence(metric, pixels, antimedian)
+    for pixels, ordering in seed_sequence(metric, flat, antimedian):
         for seed in ordering:
             if out[seed.y, seed.x] != -1:
                 continue
@@ -168,8 +179,7 @@ def mu_balls_bruteforce(cube, metric, flat, mu, antimedian=False,
     out = np.full((h, w), -1, dtype=np.int64)
     balls = []
     next_label = 0
-    for pixels in _class_pixel_lists(flat):
-        ordering = seed_sequence(metric, pixels, antimedian)
+    for pixels, ordering in seed_sequence(metric, flat, antimedian):
         for seed in ordering:
             if out[seed.y, seed.x] != -1:
                 continue

@@ -14,14 +14,13 @@ import pytest
 
 from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind,
                    MuParams, PixelIndex, SeedOrder, SpectralCube,
-                   build_edge_weights, build_metric, build_seed_list,
-                   classes_are_connected, cumulative_distances,
+                   build_edge_weights, build_metric, classes_are_connected,
                    eta_bounded_regions, is_refinement, lambda_flat_zones,
                    mu_geodesic_balls, read_cube, read_graymap_stack,
                    read_labels, relabel_dense, tooth_saw_cube, write_cube,
                    write_labels)
 
-from conftest import random_cube
+from conftest import random_cube, region_seeds
 from oracles import (eta_regions_bruteforce, flat_zones_unionfind,
                      mu_balls_bruteforce, naive_cumdists)
 
@@ -294,10 +293,10 @@ def test_criterion_7_seed_correctness():
                for x in range(cube.width)]
         size = int(rng.integers(1, min(len(pix), 25) + 1))
         region = [pix[i] for i in rng.permutation(len(pix))[:size]]
-        cd = cumulative_distances(metric, region)
+        cd, medians = region_seeds(metric, region)
+        _, antimedians = region_seeds(metric, region, SeedOrder.ANTIMEDIAN_FIRST)
+        median, anti = medians[0], antimedians[0]
         oracle = naive_cumdists(metric, region)
-        median = build_seed_list(cd, SeedOrder.MEDIAN_FIRST).entries[0][0]
-        anti = build_seed_list(cd, SeedOrder.ANTIMEDIAN_FIRST).entries[0][0]
         if oracle[median] > min(oracle.values()) + 1e-9:
             failures += 1
         if oracle[anti] < max(oracle.values()) - 1e-9:

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsseg
 from hsseg import read_cube, read_labels
 from hsseg.cli import main, parse_grid
 
@@ -141,12 +144,9 @@ def test_parse_grid():
     assert parse_grid("0:100:10") == [float(v) for v in range(0, 101, 10)]
     assert parse_grid("0:95:10")[-1] == 90.0
     assert parse_grid("2:2:5") == [2.0]
-    with pytest.raises(ValueError):
-        parse_grid("0:10")
-    with pytest.raises(ValueError):
-        parse_grid("0:10:0")
-    with pytest.raises(ValueError):
-        parse_grid("5:1:1")
+    for bad in ("0:10", "0:10:0", "5:1:1", "0:inf:1", "0:1:inf"):
+        with pytest.raises(ValueError):
+            parse_grid(bad)
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -155,6 +155,9 @@ def test_error_exit_codes(tmp_path, capsys):
     # negative parameter: usage error
     assert run_cli("flat", "--input", saw, "--lambda", -1,
                    "--outdir", tmp_path) == 2
+    # a non-finite grid bound: usage error
+    assert run_cli("sweep", "--algo", "eta", "--input", saw, "--lambda", 10,
+                   "--param", "0:inf:1", "--outdir", tmp_path) == 2
     # unreadable format
     bad = tmp_path / "bad.hsc"
     bad.write_bytes(b"XXXXXXXXXXXXXXXXXXXXX")
@@ -190,6 +193,22 @@ def test_console_entry_point(tmp_path):
          "--lambda", "1", "--bogus"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_toothsaw_sweeps_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "toothsaw_sweeps.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(hsseg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=env, check=True)
+    lines = proc.stdout.splitlines()
+    assert "lambda=9.9 : 21 flat zone(s)" in lines
+    assert "lambda=10.0: 1 flat zone(s)" in lines
+    start = next(i for i, ln in enumerate(lines) if ln.split()[:1] == ["param"]) + 1
+    rows = [ln.split() for ln in lines[start:start + 11]]
+    assert [int(r[0]) for r in rows] == list(range(0, 101, 10))
+    # the frozen curve of test_mu_balls.py::test_sweep_counts_regression
+    assert [int(r[2]) for r in rows] == [21, 10, 7, 4, 3, 3, 3, 3, 2, 2, 2]
+    assert lines[-1].endswith(": 1 region(s)")
 
 
 def _report_millis(path):

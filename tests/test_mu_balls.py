@@ -129,18 +129,6 @@ def test_mu_above_total_edge_weight_reproduces_flat_zones(tooth_setup):
     assert np.array_equal(out.labels, flat.labels)
 
 
-def test_full_class_paths_variant(tooth_setup):
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    out = mu_geodesic_balls(cube, metric, flat,
-                            MuParams(40.0, full_class_paths=True))
-    # still a covering refinement, but balls may route through assigned
-    # pixels, so per-region connectivity is not guaranteed here
-    assert is_refinement(out, flat)
-    residual = mu_geodesic_balls(cube, metric, flat, MuParams(40.0))
-    assert out.count <= residual.count
-
-
 def test_deterministic(tooth_setup):
     cube, metric = tooth_setup
     flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsseg import (EtaParams, LambdaParams, MetricKind, MuParams, PixelIndex,
-                   RegionSizeCapError, SeedList, SeedOrder, SpectralCube,
-                   build_metric, build_seed_list, cumulative_distances,
+                   RegionSizeCapError, SeedOrder, SpectralCube, build_metric,
                    eta_bounded_regions, lambda_flat_zones, mu_geodesic_balls,
-                   order_classes, pop_first_unassigned, relabel_dense)
+                   order_classes, relabel_dense)
 from hsseg import seeds
 from hsseg.seeds import class_orderings
 
-from conftest import cubes
-from oracles import naive_cumdists
+from conftest import cubes, region_seeds
+from oracles import naive_cumdists, reference_orderings
+
+ANTI = SeedOrder.ANTIMEDIAN_FIRST
 
 
 def triangle_cube():
@@ -21,31 +22,22 @@ def triangle_cube():
 
 
 def test_singleton_region():
-    cube = triangle_cube()
-    m = build_metric(cube, MetricKind.EUCLIDEAN)
-    assert cumulative_distances(m, [(1, 0)]) == {PixelIndex(1, 0): 0.0}
+    m = build_metric(triangle_cube(), MetricKind.EUCLIDEAN)
+    assert region_seeds(m, [(1, 0)]) == ({PixelIndex(1, 0): 0.0}, [(1, 0)])
 
 
 def test_triangle_cumdists():
     m = build_metric(triangle_cube(), MetricKind.EUCLIDEAN)
-    cd = cumulative_distances(m, [(0, 0), (1, 0), (2, 0)])
+    cd, _ = region_seeds(m, [(0, 0), (1, 0), (2, 0)])
     assert cd[PixelIndex(0, 0)] == pytest.approx(3 + 5, abs=1e-12)
     assert cd[PixelIndex(1, 0)] == pytest.approx(3 + 4, abs=1e-12)
     assert cd[PixelIndex(2, 0)] == pytest.approx(4 + 5, abs=1e-12)
 
 
-def test_empty_and_duplicate_regions_rejected():
-    m = build_metric(triangle_cube(), MetricKind.EUCLIDEAN)
-    with pytest.raises(ValueError):
-        cumulative_distances(m, [])
-    with pytest.raises(ValueError):
-        cumulative_distances(m, [(0, 0), (0, 0)])
-
-
 def test_region_size_cap():
     m = build_metric(triangle_cube(), MetricKind.EUCLIDEAN)
     with pytest.raises(RegionSizeCapError):
-        cumulative_distances(m, [(0, 0), (1, 0), (2, 0)], max_region_size=2)
+        region_seeds(m, [(0, 0), (1, 0), (2, 0)], max_region_size=2)
 
 
 @given(cubes(max_side=6, max_bands=3), st.data())
@@ -55,31 +47,31 @@ def test_matches_double_loop_oracle(cube, data):
     pix = [PixelIndex(x, y) for y in range(cube.height) for x in range(cube.width)]
     k = data.draw(st.integers(1, len(pix)))
     region = data.draw(st.permutations(pix)).copy()[:k]
-    got = cumulative_distances(m, region)
+    got, _ = region_seeds(m, region)
     expected = naive_cumdists(m, region)
     for p in region:
         assert got[p] == pytest.approx(expected[p], abs=1e-9)
 
 
-def test_build_seed_list_orders():
-    cd = {PixelIndex(0, 0): 7.0, PixelIndex(1, 0): 8.0, PixelIndex(2, 0): 9.0}
-    med = build_seed_list(cd, SeedOrder.MEDIAN_FIRST)
-    assert [p for p, _ in med.entries] == [(0, 0), (1, 0), (2, 0)]
-    anti = build_seed_list(cd, SeedOrder.ANTIMEDIAN_FIRST)
-    assert [p for p, _ in anti.entries] == [(2, 0), (1, 0), (0, 0)]
+def test_seed_orders():
+    # cumulative distances 8, 7, 9 (see test_triangle_cumdists)
+    m = build_metric(triangle_cube(), MetricKind.EUCLIDEAN)
+    region = [(0, 0), (1, 0), (2, 0)]
+    assert region_seeds(m, region)[1] == [(1, 0), (0, 0), (2, 0)]
+    assert region_seeds(m, region, ANTI)[1] == [(2, 0), (0, 0), (1, 0)]
 
 
 def test_ties_break_on_raster_index():
-    cd = {PixelIndex(1, 2): 5.0, PixelIndex(3, 0): 5.0, PixelIndex(0, 2): 5.0}
-    lst = build_seed_list(cd, SeedOrder.MEDIAN_FIRST)
-    assert [p for p, _ in lst.entries] == [(3, 0), (0, 2), (1, 2)]
-    rev = build_seed_list(cd, SeedOrder.ANTIMEDIAN_FIRST)
-    assert [p for p, _ in rev.entries] == [(3, 0), (0, 2), (1, 2)]
-
-
-def test_build_seed_list_rejects_empty():
-    with pytest.raises(ValueError):
-        build_seed_list({}, SeedOrder.MEDIAN_FIRST)
+    # two pixels of value 0 and two of value 1: every cumulative distance is 2
+    values = np.full((3, 4, 1), 9.0)
+    for (x, y), v in {(1, 2): 0.0, (3, 0): 0.0, (0, 2): 1.0, (2, 1): 1.0}.items():
+        values[y, x, 0] = v
+    m = build_metric(SpectralCube(values), MetricKind.EUCLIDEAN)
+    region = [(1, 2), (3, 0), (0, 2), (2, 1)]
+    cd, med = region_seeds(m, region)
+    assert set(cd.values()) == {2.0}
+    assert med == [(3, 0), (2, 1), (0, 2), (1, 2)]
+    assert region_seeds(m, region, ANTI)[1] == med
 
 
 def test_antimedian_is_reverse_up_to_tie_blocks():
@@ -87,10 +79,10 @@ def test_antimedian_is_reverse_up_to_tie_blocks():
     cube = SpectralCube(rng.uniform(0, 1, (4, 4, 2)))
     m = build_metric(cube, MetricKind.EUCLIDEAN)
     region = [PixelIndex(x, y) for y in range(4) for x in range(4)]
-    cd = cumulative_distances(m, region)
-    med = build_seed_list(cd, SeedOrder.MEDIAN_FIRST)
-    anti = build_seed_list(cd, SeedOrder.ANTIMEDIAN_FIRST)
-    assert [c for _, c in anti.entries] == sorted((c for _, c in med.entries), reverse=True)
+    cd, _ = region_seeds(m, region)
+    anti_keys, anti = region_seeds(m, region, ANTI)
+    assert all(anti_keys[p] == -cd[p] for p in region)
+    assert [cd[p] for p in anti] == sorted(cd.values(), reverse=True)
 
 
 @given(cubes(max_side=5), st.data())
@@ -100,56 +92,14 @@ def test_median_minimizes_cumulative_distance(cube, data):
     pix = [PixelIndex(x, y) for y in range(cube.height) for x in range(cube.width)]
     k = data.draw(st.integers(1, len(pix)))
     region = data.draw(st.permutations(pix)).copy()[:k]
-    cd = cumulative_distances(m, region)
-    med = build_seed_list(cd, SeedOrder.MEDIAN_FIRST).entries[0][0]
-    anti = build_seed_list(cd, SeedOrder.ANTIMEDIAN_FIRST).entries[0][0]
-    assert cd[med] == min(cd.values())
-    assert cd[anti] == max(cd.values())
-
-
-@given(cubes(max_side=4), st.data())
-@settings(max_examples=40, deadline=None)
-def test_median_invariant_under_enumeration_order(cube, data):
-    m = build_metric(cube, MetricKind.EUCLIDEAN)
-    pix = [PixelIndex(x, y) for y in range(cube.height) for x in range(cube.width)]
-    shuffled = data.draw(st.permutations(pix))
-    a = build_seed_list(cumulative_distances(m, pix), SeedOrder.MEDIAN_FIRST)
-    b = build_seed_list(cumulative_distances(m, shuffled), SeedOrder.MEDIAN_FIRST)
-    assert a.entries[0][0] == b.entries[0][0]
-
-
-def test_pop_first_unassigned():
-    cd = {PixelIndex(0, 0): 1.0, PixelIndex(1, 0): 2.0, PixelIndex(2, 0): 3.0}
-    lst = build_seed_list(cd, SeedOrder.MEDIAN_FIRST)
-    assert pop_first_unassigned(lst, lambda p: False) == (0, 0)
-    taken = {PixelIndex(1, 0)}
-    assert pop_first_unassigned(lst, taken.__contains__) == (2, 0)
-    assert pop_first_unassigned(lst, lambda p: False) is None
-
-    empty = SeedList(entries=[], order=SeedOrder.MEDIAN_FIRST)
-    assert pop_first_unassigned(empty, lambda p: False) is None
+    cd, med = region_seeds(m, region)
+    _, anti = region_seeds(m, region, ANTI)
+    assert cd[med[0]] == min(cd.values())
+    assert cd[anti[0]] == max(cd.values())
 
 
 # ---------------------------------------------------------------------------
 # Shared class orderings
-
-def _reference_orderings(flat, metric, order):
-    """Per-class seed sequences the way they were built before grouping:
-    a full-grid scan per class, the row-loop kernel, one lexsort per class."""
-    lab = flat.labels.ravel()
-    cf = metric.coords_flat
-    classes, keys = [], []
-    for c in range(flat.count):
-        pts = np.flatnonzero(lab == c)
-        coords = cf[pts]
-        cd = np.empty(len(pts))
-        for i in range(len(pts)):
-            cd[i] = np.sqrt(np.square(coords - coords[i]).sum(axis=1)).sum()
-        key = cd if order is SeedOrder.MEDIAN_FIRST else -cd
-        classes.append(pts[np.lexsort((pts, key))])
-        keys.append(key)
-    return classes, keys
-
 
 def _random_partition(rng, h, w):
     """Dense labels mixing multi-pixel classes with a few singletons."""
@@ -168,7 +118,7 @@ def test_order_classes_matches_per_class_reference(order):
         cube = SpectralCube(rng.choice([0.0, 0.5, 1.0], size=(h, w, 2)))
         metric = build_metric(cube, MetricKind.EUCLIDEAN)
         flat = _random_partition(rng, h, w)
-        classes, keys = _reference_orderings(flat, metric, order)
+        classes, keys = reference_orderings(flat, metric, order is ANTI)
 
         got = order_classes(flat, metric, order)
         assert got.order is order
