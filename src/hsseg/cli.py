@@ -35,6 +35,8 @@ EXIT_MARGINAL = 4
 EXIT_REGION_CAP = 5
 EXIT_IO = 6
 
+MAX_GRID_VALUES = 10_000
+
 _EXIT_CODES = """\
 exit codes:
   0  success
@@ -157,7 +159,7 @@ def _cmd_segment(cfg: RunConfig) -> int:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse start:stop:step into the inclusive grid it denotes."""
+    """Parse start:stop:step into its inclusive grid of at most MAX_GRID_VALUES."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
@@ -168,7 +170,12 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_GRID_VALUES:
+        raise ValueError(
+            f"grid {text!r} has {count:.6g} values, above the cap of {MAX_GRID_VALUES}"
+        )
     return [start + k * step for k in range(count)]
 
 
@@ -293,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algo", choices=("eta", "mu"), required=True)
     p_sweep.add_argument("--param", dest="param_grid", required=True,
                          metavar="START:STOP:STEP",
-                         help="inclusive of STOP when exactly reached")
+                         help="inclusive of STOP when exactly reached; "
+                              f"at most {MAX_GRID_VALUES} values")
 
     p_stats = sub.add_parser("stats", help="recompute region counts from a label file")
     p_stats.add_argument("labels_path", metavar="LABELS")

@@ -59,6 +59,11 @@ def eta_bounded_regions(cube: SpectralCube, metric: SpectralMetric, flat: LabelM
     accept = np.zeros(w * h, dtype=bool)
     next_label = 0
     for pts in ordering.classes():
+        if len(pts) == 1:
+            # a lone seed accepts itself and has no class neighbour to grow into
+            out[pts[0]] = next_label
+            next_label += 1
+            continue
         for seed in pts.tolist():
             if out[seed] != -1:
                 continue

@@ -70,7 +70,8 @@ def read_cube(path) -> SpectralCube:
             f"{actual - expected} trailing bytes after payload at offset {_HEADER.size + expected}"
         )
     data = np.frombuffer(buf, dtype=dt, count=width * height * bands, offset=_HEADER.size)
-    return SpectralCube(data.astype(np.float64).reshape(height, width, bands))
+    # SpectralCube makes the one float64 copy
+    return SpectralCube(data.reshape(height, width, bands))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def _read_graymap(path) -> tuple[int, int, np.ndarray]:
         samples = np.array([int(t) for t in text])
     if samples.max(initial=0) > maxval:
         raise BadHeaderError(f"{path}: sample exceeds declared maxval {maxval}")
-    return width, height, samples.astype(np.int64).reshape(height, width)
+    return width, height, samples.reshape(height, width)
 
 
 def read_graymap_stack(paths) -> SpectralCube:
@@ -156,7 +157,8 @@ def read_graymap_stack(paths) -> SpectralCube:
                 f"dimension mismatch in file {position} ({path}): "
                 f"{width}x{height}, expected {ref[0]}x{ref[1]}"
             )
-        bands.append(values.astype(np.float64))
+        bands.append(values)
+    # raw samples stacked; SpectralCube makes the one float64 copy
     return SpectralCube(np.stack(bands, axis=-1))
 
 
@@ -184,7 +186,7 @@ def read_label_values(path) -> np.ndarray:
     head = Path(path).read_bytes()[:4]
     if head[:2] in (b"P5", b"P2"):
         _, _, values = _read_graymap(path)
-        return values
+        return values.astype(np.int64)
     cube = read_cube(path)
     if cube.bands != 1:
         raise CubeFormatError(f"{path}: label cube must have one band, found {cube.bands}")

@@ -119,6 +119,11 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
     free = np.zeros(w * h, dtype=bool)
     next_label = 0
     for pts in ordering.classes():
+        if len(pts) == 1:
+            # a lone seed is its own ball at distance 0
+            out[pts[0]] = next_label
+            next_label += 1
+            continue
         free[pts] = True
         for seed in pts.tolist():
             if not free[seed]:

@@ -31,13 +31,33 @@ class SeedOrder(Enum):
     ANTIMEDIAN_FIRST = "antimedian"
 
 
+# A class of at least _COLLAPSE_MIN_PIXELS pixels gets one distance row per
+# distinct spectrum. Below the gate np.unique costs more than the rows it saves.
+_COLLAPSE_MIN_PIXELS = 64
+
+
+def _distance_row(coords: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Distances from one spectrum to every row of coords."""
+    return np.sqrt(np.square(coords - spectrum).sum(axis=1))
+
+
 def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
-    """Exact O(K^2) cumulative distances for the pixels in pts_flat."""
+    """Exact O(K^2) cumulative distances for the pixels in pts_flat.
+
+    Pixels with equal spectra have equal rows, and a row gathered from the
+    distances to the distinct spectra (`row[inverse]`) holds the same K terms
+    in the same raster order, so its sum has the same bits as the per-pixel
+    row's. Classes of at least _COLLAPSE_MIN_PIXELS pixels compute one row per
+    distinct spectrum; smaller classes one row per pixel.
+    """
     coords = metric.coords_flat[pts_flat]
-    out = np.empty(len(pts_flat))
-    for i in range(len(pts_flat)):
-        out[i] = np.sqrt(np.square(coords - coords[i]).sum(axis=1)).sum()
-    return out
+    k = len(pts_flat)
+    if k >= _COLLAPSE_MIN_PIXELS:
+        uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
+        inverse = inverse.ravel()  # numpy 2.0.0 returns it as (k, 1)
+        sums = np.array([_distance_row(uniq, u)[inverse].sum() for u in uniq])
+        return sums[inverse]
+    return np.array([_distance_row(coords, c).sum() for c in coords])
 
 
 _SINGLETON_KEY = np.zeros(1)

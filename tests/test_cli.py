@@ -8,7 +8,7 @@ import pytest
 
 import hsseg
 from hsseg import read_cube, read_labels
-from hsseg.cli import main, parse_grid
+from hsseg.cli import MAX_GRID_VALUES, main, parse_grid
 
 
 def run_cli(*args):
@@ -147,6 +147,12 @@ def test_parse_grid():
     for bad in ("0:10", "0:10:0", "5:1:1", "0:inf:1", "0:1:inf"):
         with pytest.raises(ValueError):
             parse_grid(bad)
+    # the value count is capped before the grid is built
+    assert len(parse_grid(f"1:{MAX_GRID_VALUES}:1")) == MAX_GRID_VALUES
+    with pytest.raises(ValueError, match=f"has {MAX_GRID_VALUES + 1} values, above the cap"):
+        parse_grid(f"0:{MAX_GRID_VALUES}:1")
+    with pytest.raises(ValueError, match="has 1e\\+300 values"):
+        parse_grid("0:1:1e-300")
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -158,6 +164,11 @@ def test_error_exit_codes(tmp_path, capsys):
     # a non-finite grid bound: usage error
     assert run_cli("sweep", "--algo", "eta", "--input", saw, "--lambda", 10,
                    "--param", "0:inf:1", "--outdir", tmp_path) == 2
+    # a grid above the value cap: usage error, naming the count and the cap
+    capsys.readouterr()
+    assert run_cli("sweep", "--algo", "eta", "--input", saw, "--lambda", 10,
+                   "--param", "0:1:1e-300", "--outdir", tmp_path) == 2
+    assert f"1e+300 values, above the cap of {MAX_GRID_VALUES}" in capsys.readouterr().err
     # unreadable format
     bad = tmp_path / "bad.hsc"
     bad.write_bytes(b"XXXXXXXXXXXXXXXXXXXXX")

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind,
-                   SeedOrder, build_metric, classes_are_connected,
-                   eta_bounded_regions, is_refinement, lambda_flat_zones)
+from hsseg import (Connectivity, EtaParams, LabelMap, LambdaParams, MetricKind,
+                   SeedOrder, SpectralCube, SpectralMetric, build_metric,
+                   classes_are_connected, eta_bounded_regions, is_refinement,
+                   lambda_flat_zones)
 
 from conftest import cubes
 from oracles import eta_regions_bruteforce
@@ -115,3 +116,17 @@ def test_flat_partition_must_match_grid(tooth_setup):
     wrong = LabelMap(np.zeros((2, 2), dtype=int))
     with pytest.raises(ValueError):
         eta_bounded_regions(cube, metric, wrong, EtaParams(1.0))
+
+
+def test_singleton_classes_skip_distances(monkeypatch):
+    calls = []
+    distances = SpectralMetric.distances_flat
+    monkeypatch.setattr(SpectralMetric, "distances_flat",
+                        lambda m, i, p: calls.append(i) or distances(m, i, p))
+    rng = np.random.default_rng(2)
+    cube = SpectralCube(rng.uniform(0, 1, size=(3, 4, 2)))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    flat = LabelMap(np.arange(12).reshape(3, 4))
+    out = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
+    assert calls == []
+    assert np.array_equal(out.labels, flat.labels)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (Connectivity, LambdaParams, MetricKind, MuParams,
+from hsseg import (Connectivity, LabelMap, LambdaParams, MetricKind, MuParams,
                    PixelIndex, SeedOrder, SpectralCube, build_edge_weights,
                    build_metric, classes_are_connected, geodesic_ball,
                    is_refinement, lambda_flat_zones, mu_geodesic_balls)
+from hsseg import mu_balls
 
 from conftest import cubes
 from oracles import bellman_ford, mu_balls_bruteforce
@@ -153,3 +154,17 @@ def test_params_validation():
         MuParams(-2.0)
     with pytest.raises(ValueError):
         MuParams(float("nan"))
+
+
+def test_singleton_classes_skip_dijkstra(monkeypatch):
+    calls = []
+    ball = mu_balls._dijkstra_ball
+    monkeypatch.setattr(mu_balls, "_dijkstra_ball",
+                        lambda e, d, s, r: calls.append(s) or ball(e, d, s, r))
+    cube = SpectralCube(np.arange(12, dtype=float).reshape(3, 4, 1))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    # class 0 is the top row; every other pixel is a class of its own
+    flat = LabelMap(np.array([[0, 0, 0, 0], [1, 2, 3, 4], [5, 6, 7, 8]]))
+    out = mu_geodesic_balls(cube, metric, flat, MuParams(1.5))
+    assert calls == [1, 3]
+    assert out.labels.tolist() == [[0, 0, 0, 1], [2, 3, 4, 5], [6, 7, 8, 9]]

@@ -109,6 +109,52 @@ def _random_partition(rng, h, w):
     return relabel_dense(raw.reshape(h, w))
 
 
+def _assert_matches_reference(flat, metric, order):
+    classes, keys = reference_orderings(flat, metric, order is ANTI)
+    got = order_classes(flat, metric, order)
+    assert got.order is order
+    assert got.offsets.tolist() == np.cumsum([0] + [len(c) for c in classes]).tolist()
+    for mine, ref in zip(got.classes(), classes, strict=True):
+        assert mine.tolist() == ref.tolist()
+    for c, pts, key in class_orderings(flat, metric, order):
+        assert pts.tolist() == np.flatnonzero(flat.labels.ravel() == c).tolist()
+        if len(pts) == 1:
+            assert key.tolist() == [0.0]
+        else:
+            assert key.tobytes() == keys[c].tobytes()
+
+
+# (distinct spectra U, pixels K) per class: U at 1, 7, 8, 9, 128 and 129 with
+# repeats, one class of distinct spectra above the size gate (U = K), and one
+# small class below it.
+_REPEAT_CLASSES = ((1, 64), (7, 70), (8, 64), (9, 90), (128, 256), (129, 300),
+                   (80, 80), (3, 10))
+
+
+def _repeated_spectra_cube(rng, bands):
+    """Interleaved classes of _REPEAT_CLASSES plus singletons, as (cube, flat).
+
+    Each class draws its own U spectra, every one used at least once.
+    """
+    spectra, owner = [], []
+    for c, (u, k) in enumerate(_REPEAT_CLASSES):
+        uniq = rng.uniform(0.1, 1.0, size=(u, bands))
+        spectra.append(uniq[rng.permutation(np.concatenate([np.arange(u),
+                                                            rng.integers(0, u, k - u)]))])
+        owner += [c] * k
+    n = len(owner)
+    pad = -n % 24
+    spectra.append(rng.uniform(0.1, 1.0, size=(pad, bands)))
+    owner += list(range(len(_REPEAT_CLASSES), len(_REPEAT_CLASSES) + pad))
+    spectra, owner = np.concatenate(spectra), np.array(owner)
+    # scatter the pixels so that classes interleave in raster order
+    place = rng.permutation(n + pad)
+    data, labels = np.empty_like(spectra), np.empty_like(owner)
+    data[place], labels[place] = spectra, owner
+    h, w = 24, (n + pad) // 24
+    return SpectralCube(data.reshape(h, w, bands)), relabel_dense(labels.reshape(h, w))
+
+
 @pytest.mark.parametrize("order", list(SeedOrder))
 def test_order_classes_matches_per_class_reference(order):
     rng = np.random.default_rng(41)
@@ -118,19 +164,32 @@ def test_order_classes_matches_per_class_reference(order):
         cube = SpectralCube(rng.choice([0.0, 0.5, 1.0], size=(h, w, 2)))
         metric = build_metric(cube, MetricKind.EUCLIDEAN)
         flat = _random_partition(rng, h, w)
-        classes, keys = reference_orderings(flat, metric, order is ANTI)
+        _assert_matches_reference(flat, metric, order)
+    # classes above the size gate, where repeated spectra share one distance
+    # row; band counts at the block edges of numpy's pairwise sum
+    for bands in (1, 7, 8, 9, 33, 128, 129):
+        cube, flat = _repeated_spectra_cube(rng, bands)
+        for kind in MetricKind:
+            _assert_matches_reference(flat, build_metric(cube, kind), order)
 
-        got = order_classes(flat, metric, order)
-        assert got.order is order
-        assert got.offsets.tolist() == np.cumsum([0] + [len(c) for c in classes]).tolist()
-        for mine, ref in zip(got.classes(), classes, strict=True):
-            assert mine.tolist() == ref.tolist()
-        for c, pts, key in class_orderings(flat, metric, order):
-            assert pts.tolist() == np.flatnonzero(flat.labels.ravel() == c).tolist()
-            if len(pts) == 1:
-                assert key.tolist() == [0.0]
-            else:
-                assert key.tobytes() == keys[c].tobytes()
+
+def test_repeated_spectra_take_one_distance_row_each(monkeypatch):
+    rows = []
+    row = seeds._distance_row
+    monkeypatch.setattr(seeds, "_distance_row", lambda c, s: rows.append(len(c)) or row(c, s))
+    rng = np.random.default_rng(8)
+    gate = seeds._COLLAPSE_MIN_PIXELS
+    # class 0: 4 * gate pixels holding 3 spectra; class 1: gate distinct spectra
+    three = rng.uniform(0.1, 1.0, size=(3, 4))
+    data = np.concatenate([three[np.arange(4 * gate) % 3],
+                           rng.uniform(0.1, 1.0, size=(gate, 4))])
+    cube = SpectralCube(data.reshape(5, gate, 4))
+    flat = relabel_dense(np.repeat([0, 1], [4 * gate, gate]).reshape(5, gate))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    got = list(class_orderings(flat, metric, SeedOrder.MEDIAN_FIRST))
+    assert rows == [3] * 3 + [gate] * gate
+    _, keys = reference_orderings(flat, metric)
+    assert [k.tobytes() for _, _, k in got] == [k.tobytes() for k in keys]
 
 
 def test_singleton_classes_skip_the_kernel(monkeypatch):
