@@ -12,15 +12,14 @@ from .errors import (BadHeaderError, BadMagicError, CubeFormatError,
                      TruncatedFileError)
 from .eta_regions import EtaParams, eta_bounded_regions
 from .flatzones import LambdaParams, lambda_flat_zones
-from .grid import (Connectivity, LabelMap, PixelIndex, SpectralCube,
-                   classes_are_connected, is_refinement, neighbors,
-                   region_sizes, relabel_dense)
+from .grid import (Connectivity, LabelMap, SpectralCube, region_sizes,
+                   relabel_dense)
 from .io import (SegmentationReport, append_sweep_row, read_cube,
                  read_graymap_stack, read_labels, write_cube, write_labels,
                  write_report)
 from .metrics import (EdgeWeights, MetricKind, SpectralMetric,
                       build_edge_weights, build_metric)
-from .mu_balls import MuParams, geodesic_ball, mu_geodesic_balls
+from .mu_balls import MuParams, mu_geodesic_balls
 from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, order_classes
 from .synth import ToothSawSpec, tooth_saw_cube, tooth_saw_profile
 
@@ -30,13 +29,12 @@ __all__ = [
     "BadHeaderError", "BadMagicError", "ClassOrdering", "Connectivity",
     "CubeFormatError", "DEFAULT_REGION_CAP", "DegenerateMarginalError",
     "EdgeWeights", "EtaParams", "HssegError", "LabelMap", "LambdaParams",
-    "MetricKind", "MuParams", "PixelIndex", "RegionSizeCapError",
-    "SeedOrder", "SegmentationReport", "SpectralCube", "SpectralMetric",
+    "MetricKind", "MuParams", "RegionSizeCapError", "SeedOrder",
+    "SegmentationReport", "SpectralCube", "SpectralMetric",
     "TruncatedFileError", "ToothSawSpec", "append_sweep_row",
-    "build_edge_weights", "build_metric", "classes_are_connected",
-    "eta_bounded_regions", "geodesic_ball", "is_refinement",
-    "lambda_flat_zones", "mu_geodesic_balls", "neighbors", "order_classes",
-    "read_cube", "read_graymap_stack", "read_labels", "region_sizes",
-    "relabel_dense", "tooth_saw_cube", "tooth_saw_profile", "write_cube",
-    "write_labels", "write_report",
+    "build_edge_weights", "build_metric", "eta_bounded_regions",
+    "lambda_flat_zones", "mu_geodesic_balls", "order_classes", "read_cube",
+    "read_graymap_stack", "read_labels", "region_sizes", "relabel_dense",
+    "tooth_saw_cube", "tooth_saw_profile", "write_cube", "write_labels",
+    "write_report",
 ]

@@ -1,4 +1,4 @@
-"""Grid data model: spectral cubes, pixel adjacency, label maps, partition order.
+"""Grid data model: spectral cubes, connectivity kinds, label maps, partition order.
 
 Pixels live on a width x height grid. The flat raster index of pixel
 (x, y) is ``y * width + x``, so raster order scans rows top to bottom and
@@ -8,18 +8,9 @@ each row left to right. Arrays are stored (height, width, ...), meaning
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
-
-
-class PixelIndex(NamedTuple):
-    """Column/row coordinate of one pixel."""
-
-    x: int
-    y: int
 
 
 _OFFSETS_FOUR = ((0, -1), (0, 1), (-1, 0), (1, 0))
@@ -66,32 +57,8 @@ class SpectralCube:
     def pixel_count(self) -> int:
         return self.width * self.height
 
-    def in_bounds(self, p) -> bool:
-        x, y = p
-        return 0 <= x < self.width and 0 <= y < self.height
-
-    def spectrum(self, p) -> np.ndarray:
-        """Spectrum of pixel p as a read-only (bands,) view."""
-        x, y = p
-        if not self.in_bounds(p):
-            raise ValueError(f"pixel ({x}, {y}) out of bounds for {self.width}x{self.height} grid")
-        return self.data[y, x]
-
     def __repr__(self) -> str:
         return f"SpectralCube({self.width}x{self.height}x{self.bands})"
-
-
-def neighbors(p, connectivity: Connectivity, width: int, height: int) -> list[PixelIndex]:
-    """In-bounds neighbors of p, in canonical order N, S, W, E, NW, NE, SW, SE."""
-    x, y = p
-    if not (0 <= x < width and 0 <= y < height):
-        raise ValueError(f"pixel ({x}, {y}) out of bounds for {width}x{height} grid")
-    out = []
-    for dx, dy in connectivity.offsets:
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < width and 0 <= ny < height:
-            out.append(PixelIndex(nx, ny))
-    return out
 
 
 class LabelMap:
@@ -99,8 +66,8 @@ class LabelMap:
 
     Labels must be exactly {0, ..., count-1}. Per-class connectivity is a
     contract of the segmentation passes that produce label maps (it depends
-    on the run's connectivity) and is asserted by recount in the tests, not
-    enforced here.
+    on the run's connectivity) and is recounted in the tests by
+    `classes_are_connected` in tests/oracles.py, not enforced here.
     """
 
     __slots__ = ("labels", "count")
@@ -131,22 +98,8 @@ class LabelMap:
     def height(self) -> int:
         return self.labels.shape[0]
 
-    def label_of(self, p) -> int:
-        x, y = p
-        return int(self.labels[y, x])
-
     def __repr__(self) -> str:
         return f"LabelMap({self.width}x{self.height}, count={self.count})"
-
-
-def is_refinement(fine: LabelMap, coarse: LabelMap) -> bool:
-    """True iff every class of `fine` lies wholly inside one class of `coarse`."""
-    if fine.labels.shape != coarse.labels.shape:
-        raise ValueError(
-            f"dimension mismatch: {fine.labels.shape} vs {coarse.labels.shape}"
-        )
-    pairs = fine.labels.astype(np.int64) * coarse.count + coarse.labels
-    return len(np.unique(pairs)) == fine.count
 
 
 def relabel_dense(raw) -> LabelMap:
@@ -165,35 +118,3 @@ def region_sizes(labels: LabelMap) -> np.ndarray:
     """Pixel count per label, indexed by label."""
     return np.bincount(labels.labels.ravel(), minlength=labels.count)
 
-
-def classes_are_connected(labels: LabelMap, connectivity: Connectivity = Connectivity.FOUR) -> bool:
-    """Recount connected components per class; True iff one component each.
-
-    This is the flood-fill recount used to audit partitions produced by the
-    segmentation passes.
-    """
-    h, w = labels.labels.shape
-    lab = labels.labels.ravel()
-    seen = np.zeros(lab.size, dtype=bool)
-    components = 0
-    offsets = connectivity.offsets
-    for start in range(lab.size):
-        if seen[start]:
-            continue
-        components += 1
-        if components > labels.count:
-            return False
-        seen[start] = True
-        target = lab[start]
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            x, y = i % w, i // w
-            for dx, dy in offsets:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < w and 0 <= ny < h:
-                    j = ny * w + nx
-                    if not seen[j] and lab[j] == target:
-                        seen[j] = True
-                        queue.append(j)
-    return components == labels.count

@@ -47,27 +47,29 @@ def read_cube(path) -> SpectralCube:
     buf = Path(path).read_bytes()
     if len(buf) < _HEADER.size:
         raise TruncatedFileError(
-            f"header needs {_HEADER.size} bytes, file ends at byte {len(buf)}"
+            f"{path}: header needs {_HEADER.size} bytes, file ends at byte {len(buf)}"
         )
     magic, width, height, bands, code = _HEADER.unpack_from(buf)
     if magic != HSC1_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r} at byte 0, expected {HSC1_MAGIC!r}")
+        raise BadMagicError(f"{path}: bad magic {magic!r} at byte 0, expected {HSC1_MAGIC!r}")
     if width == 0 or height == 0 or bands == 0:
         raise BadHeaderError(
-            f"zero dimension in header at byte 4: width={width} height={height} bands={bands}"
+            f"{path}: zero dimension in header at byte 4: "
+            f"width={width} height={height} bands={bands}"
         )
     if code not in _DTYPE_CODES:
-        raise BadHeaderError(f"unknown sample type {code} at byte 16")
+        raise BadHeaderError(f"{path}: unknown sample type {code} at byte 16")
     dt = _DTYPE_CODES[code]
     expected = width * height * bands * dt.itemsize
     actual = len(buf) - _HEADER.size
     if actual < expected:
         raise TruncatedFileError(
-            f"payload expects {expected} bytes at offset {_HEADER.size}, found {actual}"
+            f"{path}: payload expects {expected} bytes at offset {_HEADER.size}, found {actual}"
         )
     if actual > expected:
         raise CubeFormatError(
-            f"{actual - expected} trailing bytes after payload at offset {_HEADER.size + expected}"
+            f"{path}: {actual - expected} trailing bytes after payload "
+            f"at offset {_HEADER.size + expected}"
         )
     data = np.frombuffer(buf, dtype=dt, count=width * height * bands, offset=_HEADER.size)
     # SpectralCube makes the one float64 copy
@@ -77,7 +79,7 @@ def read_cube(path) -> SpectralCube:
 # ---------------------------------------------------------------------------
 # Portable graymaps
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(buf: bytes, pos: int, path) -> tuple[bytes, int]:
     while pos < len(buf):
         ch = buf[pos]
         if ch in b" \t\r\n":
@@ -91,27 +93,35 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     while pos < len(buf) and buf[pos] not in b" \t\r\n":
         pos += 1
     if start == pos:
-        raise TruncatedFileError(f"expected a header token at byte {start}")
+        raise TruncatedFileError(f"{path}: expected a header token at byte {start}")
     return buf[start:pos], pos
+
+
+def _token_offset(buf: bytes, pos: int, k: int) -> int:
+    """Byte offset of the k-th whitespace-separated token at or after pos."""
+    tokens = re.finditer(rb"\S+", buf[pos:])
+    return pos + next(itertools.islice(tokens, k, None)).start()
 
 
 def _read_graymap(path) -> tuple[int, int, np.ndarray]:
     buf = Path(path).read_bytes()
-    magic, pos = _next_token(buf, 0)
+    magic, pos = _next_token(buf, 0, path)
     if magic not in (b"P5", b"P2"):
         raise BadMagicError(f"{path}: bad magic {magic!r} at byte 0, expected P5 or P2")
-    fields = []
+    fields, starts = [], []
     for _ in range(3):
-        tok, pos = _next_token(buf, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise BadHeaderError(f"{path}: non-numeric header token {tok!r}") from None
+        tok, pos = _next_token(buf, pos, path)
+        starts.append(pos - len(tok))
+        if not tok.isdigit():
+            raise BadHeaderError(f"{path}: non-numeric header token {tok!r} at byte {starts[-1]}")
+        fields.append(int(tok))
     width, height, maxval = fields
     if width == 0 or height == 0:
-        raise BadHeaderError(f"{path}: zero dimension in header: {width}x{height}")
+        raise BadHeaderError(
+            f"{path}: zero dimension in header at byte {starts[0]}: {width}x{height}"
+        )
     if not 0 < maxval < 65536:
-        raise BadHeaderError(f"{path}: maxval {maxval} out of range 1..65535")
+        raise BadHeaderError(f"{path}: maxval {maxval} at byte {starts[2]} out of range 1..65535")
     if magic == b"P5":
         pos += 1  # single whitespace byte separates maxval from the raster
         dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
@@ -126,18 +136,22 @@ def _read_graymap(path) -> tuple[int, int, np.ndarray]:
         text = buf[pos:].split()
         if len(text) < width * height:
             raise TruncatedFileError(
-                f"{path}: raster expects {width * height} samples, found {len(text)}"
+                f"{path}: raster expects {width * height} samples after byte {pos}, "
+                f"found {len(text)}"
             )
         text = text[: width * height]
         bad = next((k for k, tok in enumerate(text) if not tok.isdigit()), None)
         if bad is not None:
-            tokens = re.finditer(rb"\S+", buf[pos:])
-            offset = pos + next(itertools.islice(tokens, bad, None)).start()
+            offset = _token_offset(buf, pos, bad)
             kind = "negative" if text[bad].startswith(b"-") else "non-integer"
             raise CubeFormatError(f"{path}: {kind} sample {text[bad]!r} at byte {offset}")
         samples = np.array([int(t) for t in text])
     if samples.max(initial=0) > maxval:
-        raise BadHeaderError(f"{path}: sample exceeds declared maxval {maxval}")
+        k = int(np.argmax(samples > maxval))
+        offset = pos + k * samples.itemsize if magic == b"P5" else _token_offset(buf, pos, k)
+        raise BadHeaderError(
+            f"{path}: sample {samples[k]} at byte {offset} exceeds declared maxval {maxval}"
+        )
     return width, height, samples.reshape(height, width)
 
 

@@ -27,22 +27,18 @@ class MetricKind(Enum):
 class SpectralMetric:
     """Distance context bound to one cube.
 
-    Immutable after build; `distance` is pure and safe to call from any
-    number of concurrent workers. For chi-squared the marginals are computed
-    once here and cached, since segmentation passes evaluate distances
-    O(K^2) times per region.
+    Immutable after build; `distances_flat` is pure and safe to call from
+    any number of concurrent workers. For chi-squared the marginals are
+    folded into `coords` once here, since segmentation passes evaluate
+    distances O(K^2) times per region.
     """
 
-    __slots__ = ("kind", "width", "height", "bands", "coords",
-                 "band_sums", "pixel_sums", "grand_total")
+    __slots__ = ("kind", "width", "height", "bands", "coords")
 
-    def __init__(self, kind, coords, band_sums=None, pixel_sums=None, grand_total=None):
+    def __init__(self, kind, coords):
         self.kind = kind
         self.coords = coords
         self.height, self.width, self.bands = coords.shape
-        self.band_sums = band_sums
-        self.pixel_sums = pixel_sums
-        self.grand_total = grand_total
 
     @property
     def pixel_count(self) -> int:
@@ -52,20 +48,6 @@ class SpectralMetric:
     def coords_flat(self) -> np.ndarray:
         """(pixel_count, bands) view of the coordinate array, raster order."""
         return self.coords.reshape(self.pixel_count, self.bands)
-
-    def flat_index(self, p) -> int:
-        x, y = p
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"pixel ({x}, {y}) out of bounds for {self.width}x{self.height} grid")
-        return int(y) * self.width + int(x)
-
-    def distance(self, p, q) -> float:
-        """Spectral distance between pixels p and q."""
-        i = self.flat_index(p)
-        j = self.flat_index(q)
-        cf = self.coords_flat
-        d = cf[i] - cf[j]
-        return float(np.sqrt(np.square(d).sum()))
 
     def distances_flat(self, i: int, pts: np.ndarray) -> np.ndarray:
         """Distances from flat pixel i to each flat pixel in pts (no bounds checks)."""
@@ -77,7 +59,7 @@ class SpectralMetric:
 
 
 def build_metric(cube: SpectralCube, kind: MetricKind) -> SpectralMetric:
-    """Build the distance context for a cube; chi-squared caches its marginals.
+    """Build the distance context for a cube; chi-squared folds in its marginals.
 
     Chi-squared requires non-negative data and strictly positive band and
     pixel sums, otherwise the normalized profiles are undefined.
@@ -106,7 +88,7 @@ def build_metric(cube: SpectralCube, kind: MetricKind) -> SpectralMetric:
     total = float(band_sums.sum())
     coords = (data / pixel_sums[:, :, None]) * np.sqrt(total / band_sums)
     coords.flags.writeable = False
-    return SpectralMetric(kind, coords, band_sums, pixel_sums, total)
+    return SpectralMetric(kind, coords)
 
 
 def require_same_grid(cube: SpectralCube, metric: SpectralMetric) -> None:
@@ -160,13 +142,6 @@ class EdgeWeights:
                 yield x - 1, y + 1, self.diag_sw[y, x - 1]
             if x < w - 1 and y < h - 1:
                 yield x + 1, y + 1, self.diag_se[y, x]
-
-    def max_weight(self) -> float:
-        """Largest adjacent-pair distance (0.0 for a single-pixel grid)."""
-        parts = [a.max(initial=0.0) for a in (self.right, self.down) if a.size]
-        if self.connectivity is Connectivity.EIGHT:
-            parts += [a.max(initial=0.0) for a in (self.diag_se, self.diag_sw) if a.size]
-        return max(parts, default=0.0)
 
     def total_weight(self) -> float:
         """Sum of all adjacent-pair distances; an upper bound on any geodesic."""

@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .grid import Connectivity, LabelMap, PixelIndex, SpectralCube
+from .grid import Connectivity, LabelMap, SpectralCube
 from .metrics import (EdgeWeights, SpectralMetric, build_edge_weights,
                       require_same_grid)
 from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_ordering
@@ -62,32 +62,6 @@ def _dijkstra_ball(edge_weights: EdgeWeights, in_domain: np.ndarray,
                 best[j] = nd
                 heappush(heap, (nd, j))
     return settled
-
-
-def geodesic_ball(metric: SpectralMetric, domain, seed, mu: float,
-                  connectivity: Connectivity = Connectivity.FOUR,
-                  *, edge_weights: EdgeWeights | None = None) -> dict[PixelIndex, float]:
-    """All domain pixels whose geodesic distance from the seed is <= mu.
-
-    Edge weights are the spectral distances of adjacent pairs and paths are
-    restricted to the given domain. The seed is included at distance 0.
-    """
-    if math.isnan(mu) or mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    pts = {PixelIndex(int(p[0]), int(p[1])) for p in domain}
-    seed = PixelIndex(int(seed[0]), int(seed[1]))
-    if seed not in pts:
-        raise ValueError(f"seed {tuple(seed)} is not in the domain")
-    if edge_weights is None:
-        edge_weights = build_edge_weights(metric, connectivity)
-    elif edge_weights.connectivity is not connectivity:
-        raise ValueError("edge_weights connectivity does not match")
-    w = metric.width
-    in_domain = np.zeros(metric.pixel_count, dtype=bool)
-    for p in pts:
-        in_domain[metric.flat_index(p)] = True
-    ball = _dijkstra_ball(edge_weights, in_domain, seed.y * w + seed.x, mu)
-    return {PixelIndex(i % w, i // w): float(d) for i, d in ball.items()}
 
 
 def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap,

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hsseg import (LabelMap, MetricKind, PixelIndex, SeedOrder, SpectralCube,
-                   build_metric, order_classes)
+from hsseg import (LabelMap, MetricKind, SeedOrder, SpectralCube, build_metric,
+                   order_classes)
 from hsseg.seeds import DEFAULT_REGION_CAP, class_orderings
+
+from oracles import PixelIndex
 
 # Quantized value levels give repeated spectra, so flat zones and ties with
 # zero-weight edges actually occur in the random data.
@@ -53,6 +55,12 @@ def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST,
     key = {PixelIndex(i % w, i // w): float(k) for i, k in zip(pts.tolist(), keys)}
     first = next(order_classes(flat, metric, order, max_region_size).classes())
     return key, [PixelIndex(i % w, i // w) for i in first.tolist()]
+
+
+def library_distance(metric, p, q):
+    """The library's distance between pixels p and q, given as (x, y)."""
+    w = metric.width
+    return float(metric.distances_flat(p[1] * w + p[0], np.array([q[1] * w + q[0]]))[0])
 
 
 def metric_for(cube, kind):

@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind,
-                   MuParams, PixelIndex, SeedOrder, SpectralCube,
-                   build_edge_weights, build_metric, classes_are_connected,
-                   eta_bounded_regions, is_refinement, lambda_flat_zones,
+                   MuParams, SeedOrder, SpectralCube, build_edge_weights,
+                   build_metric, eta_bounded_regions, lambda_flat_zones,
                    mu_geodesic_balls, read_cube, read_graymap_stack,
                    read_labels, relabel_dense, tooth_saw_cube, write_cube,
                    write_labels)
 
-from conftest import random_cube, region_seeds
-from oracles import (eta_regions_bruteforce, flat_zones_unionfind,
-                     mu_balls_bruteforce, naive_cumdists)
+from conftest import library_distance, random_cube, region_seeds
+from oracles import (PixelIndex, classes_are_connected, eta_regions_bruteforce,
+                     flat_zones_unionfind, is_refinement, mu_balls_bruteforce,
+                     naive_cumdists)
 
 BASE_SEED = 20260810
 
@@ -63,7 +63,7 @@ def flat_batch():
         lam = float(rng.uniform(0.0, 1.2))
         metric = build_metric(cube, kind)
         got = lambda_flat_zones(cube, LambdaParams(metric, lam, conn))
-        expected = flat_zones_unionfind(cube, metric, lam, conn)
+        expected = flat_zones_unionfind(cube, kind, lam, conn)
         trials.append({
             "equal": np.array_equal(got.labels, expected.labels),
             "labels": got, "conn": conn,
@@ -89,9 +89,9 @@ def refine_batch():
         metric = build_metric(cube, kind)
         flat = lambda_flat_zones(cube, LambdaParams(metric, lam, conn))
         eta_got = eta_bounded_regions(cube, metric, flat, EtaParams(eta, order), conn)
-        eta_exp, _ = eta_regions_bruteforce(cube, metric, flat, eta, antimedian, conn)
+        eta_exp, _ = eta_regions_bruteforce(cube, kind, flat, eta, antimedian, conn)
         mu_got = mu_geodesic_balls(cube, metric, flat, MuParams(mu, order), conn)
-        mu_exp, balls = mu_balls_bruteforce(cube, metric, flat, mu, antimedian, conn)
+        mu_exp, balls = mu_balls_bruteforce(cube, kind, flat, mu, antimedian, conn)
         trials.append({
             "metric": metric, "conn": conn, "mu": mu,
             "flat": flat, "eta": eta_got, "mu_map": mu_got,
@@ -181,8 +181,8 @@ def test_criterion_5_metric_axioms():
             pix = [(int(rng.integers(m.width)), int(rng.integers(m.height)))
                    for _ in range(3)]
             p, q, r = pix
-            dpq, dqp = m.distance(p, q), m.distance(q, p)
-            tri = m.distance(p, r) + m.distance(r, q) - dpq
+            dpq, dqp = library_distance(m, p, q), library_distance(m, q, p)
+            tri = library_distance(m, p, r) + library_distance(m, r, q) - dpq
             worst = max(worst, abs(dpq - dqp), max(0.0, -dpq), max(0.0, -tri))
             if dpq < 0 or abs(dpq - dqp) > 1e-9 or tri < -1e-9:
                 failures += 1
@@ -198,7 +198,7 @@ def test_criterion_5_metric_axioms():
         prof_p = data[p[1], p[0]] / data[p[1], p[0]].sum()
         prof_q = data[q[1], q[0]] / data[q[1], q[0]].sum()
         rederived = math.sqrt((((prof_p - prof_q) * scale) ** 2).sum())
-        err = abs(m.distance(p, q) - rederived)
+        err = abs(library_distance(m, p, q) - rederived)
         worst = max(worst, err)
         if err > 1e-9:
             failures += 1
@@ -213,11 +213,11 @@ def _sweep_counts(cube, metric, flat, values, algo, conn=Connectivity.FOUR):
     for value in values:
         if algo == "eta":
             got = eta_bounded_regions(cube, metric, flat, EtaParams(value), conn)
-            exp, _ = eta_regions_bruteforce(cube, metric, flat, value,
+            exp, _ = eta_regions_bruteforce(cube, metric.kind, flat, value,
                                             connectivity=conn)
         else:
             got = mu_geodesic_balls(cube, metric, flat, MuParams(value), conn)
-            exp, _ = mu_balls_bruteforce(cube, metric, flat, value,
+            exp, _ = mu_balls_bruteforce(cube, metric.kind, flat, value,
                                          connectivity=conn)
         oracle_ok &= np.array_equal(got.labels, exp.labels)
         counts.append(got.count)
@@ -296,7 +296,7 @@ def test_criterion_7_seed_correctness():
         cd, medians = region_seeds(metric, region)
         _, antimedians = region_seeds(metric, region, SeedOrder.ANTIMEDIAN_FIRST)
         median, anti = medians[0], antimedians[0]
-        oracle = naive_cumdists(metric, region)
+        oracle = naive_cumdists(cube, kind, region)
         if oracle[median] > min(oracle.values()) + 1e-9:
             failures += 1
         if oracle[anti] < max(oracle.values()) - 1e-9:
@@ -314,7 +314,7 @@ def test_criterion_8_geodesic_dominance(refine_batch):
         for seed, ball in t["balls"]:
             for p, dist in ball.items():
                 checked += 1
-                direct = metric.distance(seed, p)
+                direct = library_distance(metric, seed, p)
                 if not (direct <= dist + 1e-12 and dist <= mu):
                     violations += 1
     report(8, violations == 0,

@@ -174,6 +174,15 @@ def test_error_exit_codes(tmp_path, capsys):
     bad.write_bytes(b"XXXXXXXXXXXXXXXXXXXXX")
     assert run_cli("flat", "--input", bad, "--lambda", 1,
                    "--outdir", tmp_path) == 3
+    # a truncated cube: the message names the file and the byte offset
+    trunc = tmp_path / "trunc.hsc"
+    trunc.write_bytes(saw.read_bytes()[:30])
+    capsys.readouterr()
+    for command in (("flat", "--input", trunc, "--lambda", 1, "--outdir", tmp_path),
+                    ("stats", trunc)):
+        assert run_cli(*command) == 3
+        assert (f"error: {trunc}: payload expects 14112 bytes at offset 17, found 13"
+                in capsys.readouterr().err)
     # missing file
     assert run_cli("flat", "--input", tmp_path / "nope.hsc", "--lambda", 1,
                    "--outdir", tmp_path) == 6
@@ -220,6 +229,13 @@ def test_toothsaw_sweeps_script():
     # the frozen curve of test_mu_balls.py::test_sweep_counts_regression
     assert [int(r[2]) for r in rows] == [21, 10, 7, 4, 3, 3, 3, 3, 2, 2, 2]
     assert lines[-1].endswith(": 1 region(s)")
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
 
 
 def _report_millis(path):

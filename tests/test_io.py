@@ -32,7 +32,7 @@ def test_cube_roundtrip_float32(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.hsc"
     path.write_bytes(b"XXXX" + bytes(13))
-    with pytest.raises(BadMagicError, match="byte 0"):
+    with pytest.raises(BadMagicError, match=r"bad\.hsc: bad magic b'XXXX' at byte 0"):
         read_cube(path)
 
 
@@ -42,7 +42,8 @@ def test_truncated_payload(tmp_path):
     write_cube(cube, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 8])  # drop one band's worth
-    with pytest.raises(TruncatedFileError, match="offset 17"):
+    with pytest.raises(TruncatedFileError,
+                       match=r"t\.hsc: payload expects 64 bytes at offset 17, found 56"):
         read_cube(path)
 
 
@@ -51,7 +52,8 @@ def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "x.hsc"
     write_cube(cube, path)
     path.write_bytes(path.read_bytes() + b"zz")
-    with pytest.raises(CubeFormatError, match="trailing"):
+    with pytest.raises(CubeFormatError,
+                       match=r"x\.hsc: 2 trailing bytes after payload at offset 25"):
         read_cube(path)
 
 
@@ -59,13 +61,14 @@ def test_zero_dims_and_short_header(tmp_path):
     path = tmp_path / "z.hsc"
     import struct
     path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 0, 3, 1, 2))
-    with pytest.raises(BadHeaderError, match="byte 4"):
+    with pytest.raises(BadHeaderError, match=r"z\.hsc: zero dimension in header at byte 4"):
         read_cube(path)
     path.write_bytes(b"HSC1\x01")
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(TruncatedFileError,
+                       match=r"z\.hsc: header needs 17 bytes, file ends at byte 5"):
         read_cube(path)
     path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 1, 1, 1, 7))
-    with pytest.raises(BadHeaderError, match="sample type 7"):
+    with pytest.raises(BadHeaderError, match=r"z\.hsc: unknown sample type 7 at byte 16"):
         read_cube(path)
 
 
@@ -170,12 +173,33 @@ def test_sixteen_bit_graymap(tmp_path):
 def test_graymap_errors(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P7\n1 1\n255\n\x00")
-    with pytest.raises(BadMagicError):
+    with pytest.raises(BadMagicError, match=r"bad\.pgm: bad magic b'P7' at byte 0"):
         read_graymap_stack([bad])
     short = tmp_path / "short.pgm"
     short.write_bytes(b"P5\n2 2\n255\n\x00")
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(TruncatedFileError,
+                       match=r"short\.pgm: raster expects 4 bytes at offset 11, found 1"):
         read_graymap_stack([short])
+    header = tmp_path / "header.pgm"
+    header.write_bytes(b"P5\n2 1")
+    with pytest.raises(TruncatedFileError,
+                       match=r"header\.pgm: expected a header token at byte 6"):
+        read_graymap_stack([header])
+    # int() would take a sign; a header field is decimal digits only
+    header.write_bytes(b"P5\n-2 1 255\n\x00\x01")
+    with pytest.raises(BadHeaderError,
+                       match=r"header\.pgm: non-numeric header token b'-2' at byte 3"):
+        read_graymap_stack([header])
+    # the first sample above maxval is named with its byte offset
+    over = tmp_path / "over.pgm"
+    over.write_bytes(b"P5\n3 1\n9\n\x01\x0a\x0c")
+    with pytest.raises(BadHeaderError,
+                       match=r"over\.pgm: sample 10 at byte 10 exceeds declared maxval 9"):
+        read_graymap_stack([over])
+    over.write_bytes(b"P2 3 1 9\n1  10 12\n")
+    with pytest.raises(BadHeaderError,
+                       match=r"over\.pgm: sample 10 at byte 12 exceeds declared maxval 9"):
+        read_graymap_stack([over])
 
 
 def _report(**overrides):

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsseg import (Connectivity, LabelMap, LambdaParams, MetricKind, MuParams,
-                   PixelIndex, SeedOrder, SpectralCube, build_edge_weights,
-                   build_metric, classes_are_connected, geodesic_ball,
-                   is_refinement, lambda_flat_zones, mu_geodesic_balls)
+                   SeedOrder, SpectralCube, build_edge_weights, build_metric,
+                   lambda_flat_zones, mu_geodesic_balls)
 from hsseg import mu_balls
 
 from conftest import cubes
-from oracles import bellman_ford, mu_balls_bruteforce
+from oracles import (PixelIndex, bellman_ford, classes_are_connected,
+                     is_refinement, mu_balls_bruteforce)
 
 
 def chain_cube():
@@ -18,11 +18,22 @@ def chain_cube():
     return SpectralCube(np.array([[[0.0], [10.0], [20.0], [30.0], [40.0]]]))
 
 
+def dijkstra_ball(metric, domain, seed, mu, connectivity=Connectivity.FOUR):
+    """`_dijkstra_ball` on a domain of (x, y) pixels: {pixel: geodesic distance}."""
+    w = metric.width
+    in_domain = np.zeros(metric.pixel_count, dtype=bool)
+    for x, y in domain:
+        in_domain[y * w + x] = True
+    ball = mu_balls._dijkstra_ball(build_edge_weights(metric, connectivity),
+                                   in_domain, seed[1] * w + seed[0], mu)
+    return {PixelIndex(i % w, i // w): d for i, d in ball.items()}
+
+
 def test_chain_prefix_ball():
     cube = chain_cube()
     m = build_metric(cube, MetricKind.EUCLIDEAN)
     domain = [(x, 0) for x in range(5)]
-    ball = geodesic_ball(m, domain, (0, 0), 25.0)
+    ball = dijkstra_ball(m, domain, (0, 0), 25.0)
     assert ball == {PixelIndex(0, 0): 0.0, PixelIndex(1, 0): 10.0,
                     PixelIndex(2, 0): 20.0}
 
@@ -31,16 +42,8 @@ def test_zero_radius_keeps_zero_cost_plateau():
     cube = SpectralCube(np.array([[[5.0], [5.0]], [[7.0], [9.0]]]))
     m = build_metric(cube, MetricKind.EUCLIDEAN)
     domain = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    ball = geodesic_ball(m, domain, (0, 0), 0.0)
+    ball = dijkstra_ball(m, domain, (0, 0), 0.0)
     assert ball == {PixelIndex(0, 0): 0.0, PixelIndex(1, 0): 0.0}
-
-
-def test_seed_outside_domain_rejected():
-    m = build_metric(chain_cube(), MetricKind.EUCLIDEAN)
-    with pytest.raises(ValueError):
-        geodesic_ball(m, [(0, 0), (1, 0)], (3, 0), 10.0)
-    with pytest.raises(ValueError):
-        geodesic_ball(m, [(0, 0)], (0, 0), -1.0)
 
 
 def test_ball_respects_domain_restriction():
@@ -48,7 +51,7 @@ def test_ball_respects_domain_restriction():
     m = build_metric(cube, MetricKind.EUCLIDEAN)
     # removing the middle pixel cuts the chain
     domain = [(0, 0), (1, 0), (3, 0), (4, 0)]
-    ball = geodesic_ball(m, domain, (0, 0), 100.0)
+    ball = dijkstra_ball(m, domain, (0, 0), 100.0)
     assert set(ball) == {(0, 0), (1, 0)}
 
 
@@ -61,14 +64,15 @@ def test_distances_match_bellman_ford(cube, mu, conn, data):
     k = data.draw(st.integers(1, len(pix)))
     domain = data.draw(st.permutations(pix))[:k]
     seed = data.draw(st.sampled_from(domain))
-    got = geodesic_ball(m, domain, seed, mu, conn)
-    full = bellman_ford(m, domain, seed, conn)
+    got = dijkstra_ball(m, domain, seed, mu, conn)
+    full = bellman_ford(cube, MetricKind.EUCLIDEAN, domain, seed, conn)
     expected = {p: d for p, d in full.items() if d <= mu}
     assert set(got) == set(expected)
+    direct = m.distances_flat(seed.y * cube.width + seed.x, np.arange(m.pixel_count))
     for p in got:
         assert got[p] == pytest.approx(expected[p], abs=1e-9)
         # path weight dominates the direct metric distance
-        assert m.distance(seed, p) <= got[p] + 1e-12
+        assert direct[p.y * cube.width + p.x] <= got[p] + 1e-12
 
 
 @given(cubes(max_side=5), st.floats(0.0, 1.0), st.floats(0.0, 1.5))
@@ -76,8 +80,8 @@ def test_distances_match_bellman_ford(cube, mu, conn, data):
 def test_ball_nesting(cube, mu_small, extra):
     m = build_metric(cube, MetricKind.EUCLIDEAN)
     pix = [PixelIndex(x, y) for y in range(cube.height) for x in range(cube.width)]
-    small = geodesic_ball(m, pix, pix[0], mu_small)
-    large = geodesic_ball(m, pix, pix[0], mu_small + extra)
+    small = dijkstra_ball(m, pix, pix[0], mu_small)
+    large = dijkstra_ball(m, pix, pix[0], mu_small + extra)
     assert set(small) <= set(large)
 
 
@@ -91,7 +95,7 @@ def test_tooth_saw_matches_oracle(tooth_setup, mu):
     cube, metric = tooth_setup
     flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
     got = mu_geodesic_balls(cube, metric, flat, MuParams(mu))
-    expected, _ = mu_balls_bruteforce(cube, metric, flat, mu)
+    expected, _ = mu_balls_bruteforce(cube, MetricKind.EUCLIDEAN, flat, mu)
     assert np.array_equal(got.labels, expected.labels)
 
 
@@ -100,8 +104,8 @@ def test_tooth_saw_profile_peak_behavior(tooth_setup):
     # cumulative climb exceeds mu, not at the first peak
     cube, metric = tooth_setup
     row = [(x, 0) for x in range(21)]
-    ball20 = geodesic_ball(metric, row, (3, 0), 20.0)
-    ball60 = geodesic_ball(metric, row, (3, 0), 60.0)
+    ball20 = dijkstra_ball(metric, row, (3, 0), 20.0)
+    ball60 = dijkstra_ball(metric, row, (3, 0), 60.0)
     assert {p.x for p in ball20} == {1, 2, 3, 4, 5}
     assert {p.x for p in ball60} == set(range(10))
 
@@ -113,13 +117,16 @@ def test_matches_bruteforce_oracle(cube, lam, mu, conn, antimedian):
     metric, flat = _flat_for(cube, lam, conn)
     order = SeedOrder.ANTIMEDIAN_FIRST if antimedian else SeedOrder.MEDIAN_FIRST
     got = mu_geodesic_balls(cube, metric, flat, MuParams(mu, order), conn)
-    expected, balls = mu_balls_bruteforce(cube, metric, flat, mu, antimedian, conn)
+    expected, balls = mu_balls_bruteforce(cube, MetricKind.EUCLIDEAN, flat, mu,
+                                          antimedian, conn)
     assert np.array_equal(got.labels, expected.labels)
     assert is_refinement(got, flat)
     assert classes_are_connected(got, conn)
+    pts = np.arange(metric.pixel_count)
     for seed, ball in balls:
+        direct = metric.distances_flat(seed.y * cube.width + seed.x, pts)
         for p, d in ball.items():
-            assert metric.distance(seed, p) <= d + 1e-12 and d <= mu
+            assert direct[p.y * cube.width + p.x] <= d + 1e-12 and d <= mu
 
 
 def test_mu_above_total_edge_weight_reproduces_flat_zones(tooth_setup):

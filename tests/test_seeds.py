@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (EtaParams, LambdaParams, MetricKind, MuParams, PixelIndex,
+from hsseg import (EtaParams, LambdaParams, MetricKind, MuParams,
                    RegionSizeCapError, SeedOrder, SpectralCube, build_metric,
                    eta_bounded_regions, lambda_flat_zones, mu_geodesic_balls,
                    order_classes, relabel_dense)
@@ -11,7 +11,7 @@ from hsseg import seeds
 from hsseg.seeds import class_orderings
 
 from conftest import cubes, region_seeds
-from oracles import naive_cumdists, reference_orderings
+from oracles import PixelIndex, naive_cumdists, reference_orderings
 
 ANTI = SeedOrder.ANTIMEDIAN_FIRST
 
@@ -48,7 +48,7 @@ def test_matches_double_loop_oracle(cube, data):
     k = data.draw(st.integers(1, len(pix)))
     region = data.draw(st.permutations(pix)).copy()[:k]
     got, _ = region_seeds(m, region)
-    expected = naive_cumdists(m, region)
+    expected = naive_cumdists(cube, MetricKind.EUCLIDEAN, region)
     for p in region:
         assert got[p] == pytest.approx(expected[p], abs=1e-9)
 
@@ -109,8 +109,8 @@ def _random_partition(rng, h, w):
     return relabel_dense(raw.reshape(h, w))
 
 
-def _assert_matches_reference(flat, metric, order):
-    classes, keys = reference_orderings(flat, metric, order is ANTI)
+def _assert_matches_reference(cube, flat, metric, order):
+    classes, keys = reference_orderings(cube, metric.kind, flat, order is ANTI)
     got = order_classes(flat, metric, order)
     assert got.order is order
     assert got.offsets.tolist() == np.cumsum([0] + [len(c) for c in classes]).tolist()
@@ -164,13 +164,13 @@ def test_order_classes_matches_per_class_reference(order):
         cube = SpectralCube(rng.choice([0.0, 0.5, 1.0], size=(h, w, 2)))
         metric = build_metric(cube, MetricKind.EUCLIDEAN)
         flat = _random_partition(rng, h, w)
-        _assert_matches_reference(flat, metric, order)
+        _assert_matches_reference(cube, flat, metric, order)
     # classes above the size gate, where repeated spectra share one distance
     # row; band counts at the block edges of numpy's pairwise sum
     for bands in (1, 7, 8, 9, 33, 128, 129):
         cube, flat = _repeated_spectra_cube(rng, bands)
         for kind in MetricKind:
-            _assert_matches_reference(flat, build_metric(cube, kind), order)
+            _assert_matches_reference(cube, flat, build_metric(cube, kind), order)
 
 
 def test_repeated_spectra_take_one_distance_row_each(monkeypatch):
@@ -188,7 +188,7 @@ def test_repeated_spectra_take_one_distance_row_each(monkeypatch):
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     got = list(class_orderings(flat, metric, SeedOrder.MEDIAN_FIRST))
     assert rows == [3] * 3 + [gate] * gate
-    _, keys = reference_orderings(flat, metric)
+    _, keys = reference_orderings(cube, MetricKind.EUCLIDEAN, flat)
     assert [k.tobytes() for _, _, k in got] == [k.tobytes() for k in keys]
 
 
