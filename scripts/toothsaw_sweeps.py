@@ -49,7 +49,7 @@ def main():
     for value in values:
         t0 = time.perf_counter()
         eta_out = eta_bounded_regions(cube, metric, flat, EtaParams(value),
-                                      ordering=ordering)
+                                      edge_weights=edges, ordering=ordering)
         eta_ms = (time.perf_counter() - t0) * 1000
         t0 = time.perf_counter()
         mu_out = mu_geodesic_balls(cube, metric, flat, MuParams(value),

@@ -117,7 +117,8 @@ def _prepare(cfg: RunConfig):
     def refine(algo: str, value: float) -> LabelMap:
         if algo == "eta":
             return eta_bounded_regions(cube, metric, flat, EtaParams(value, order),
-                                       connectivity, ordering=ordering)
+                                       connectivity, edge_weights=edge_weights,
+                                       ordering=ordering)
         return mu_geodesic_balls(cube, metric, flat, MuParams(value, order),
                                  connectivity, edge_weights=edge_weights,
                                  ordering=ordering)

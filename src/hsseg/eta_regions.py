@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Connectivity, LabelMap, SpectralCube
-from .metrics import SpectralMetric, require_same_grid
+from .metrics import (EdgeWeights, SpectralMetric, _norms, require_same_grid,
+                      resolve_edge_weights)
 from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_ordering
 
 
@@ -36,27 +37,25 @@ class EtaParams:
 def eta_bounded_regions(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap,
                         params: EtaParams,
                         connectivity: Connectivity = Connectivity.FOUR,
-                        *, max_region_size: int = DEFAULT_REGION_CAP,
+                        *, edge_weights: EdgeWeights | None = None,
+                        max_region_size: int = DEFAULT_REGION_CAP,
                         ordering: ClassOrdering | None = None) -> LabelMap:
     """Refine a flat-zone partition into eta-bounded regions.
 
     The output refines `flat`; labels follow extraction order (class by
     class, then seed by seed). A seed always accepts itself since its self
-    distance is 0 <= eta, so every pixel ends up assigned. `ordering`, from
+    distance is 0 <= eta, so every pixel ends up assigned. `edge_weights`
+    shares the neighbour table with the other passes, and `ordering`, from
     `order_classes` on the same partition, skips recomputing the seeds.
     """
     require_same_grid(cube, metric)
-    if flat.labels.shape != (cube.height, cube.width):
-        raise ValueError("flat partition does not match the cube grid")
-
+    neighbors = resolve_edge_weights(metric, connectivity, edge_weights).neighbors
     ordering = resolve_ordering(flat, metric, params.seed_order, max_region_size, ordering)
 
-    w, h = cube.width, cube.height
-    out = np.full(w * h, -1, dtype=np.int32)
-    offsets = connectivity.offsets
+    out = np.full(cube.pixel_count, -1, dtype=np.int32)
     # One mask per pass: entries left over from earlier classes sit on
     # assigned pixels, which the growth never enters.
-    accept = np.zeros(w * h, dtype=bool)
+    accept = np.zeros(cube.pixel_count, dtype=bool)
     next_label = 0
     for pts in ordering.classes():
         if len(pts) == 1:
@@ -64,22 +63,20 @@ def eta_bounded_regions(cube: SpectralCube, metric: SpectralMetric, flat: LabelM
             out[pts[0]] = next_label
             next_label += 1
             continue
-        for seed in pts.tolist():
+        # distances_flat(seed, pts), with one gather and one reused buffer per class
+        coords = metric.coords_flat[pts]
+        diff = np.empty_like(coords)
+        for k, seed in enumerate(pts.tolist()):
             if out[seed] != -1:
                 continue
-            within = metric.distances_flat(seed, pts) <= params.eta
-            accept[pts] = within
+            np.subtract(coords, coords[k], out=diff)
+            accept[pts] = _norms(diff) <= params.eta
             out[seed] = next_label
             queue = deque([seed])
             while queue:
-                i = queue.popleft()
-                x, y = i % w, i // w
-                for dx, dy in offsets:
-                    nx, ny = x + dx, y + dy
-                    if 0 <= nx < w and 0 <= ny < h:
-                        j = ny * w + nx
-                        if out[j] == -1 and accept[j]:
-                            out[j] = next_label
-                            queue.append(j)
+                for j in neighbors[queue.popleft()].tolist():
+                    if j >= 0 and out[j] == -1 and accept[j]:
+                        out[j] = next_label
+                        queue.append(j)
             next_label += 1
-    return LabelMap(out.reshape(h, w), next_label)
+    return LabelMap(out.reshape(cube.height, cube.width), next_label)

@@ -131,6 +131,9 @@ def _read_graymap(path) -> tuple[int, int, np.ndarray]:
                 f"{path}: raster expects {expected} bytes at offset {pos}, "
                 f"found {len(buf) - pos}"
             )
+        if len(buf) - pos > expected:
+            raise CubeFormatError(f"{path}: {len(buf) - pos - expected} trailing bytes "
+                                  f"after raster at offset {pos + expected}")
         samples = np.frombuffer(buf, dtype=dt, count=width * height, offset=pos)
     else:
         text = buf[pos:].split()
@@ -139,7 +142,10 @@ def _read_graymap(path) -> tuple[int, int, np.ndarray]:
                 f"{path}: raster expects {width * height} samples after byte {pos}, "
                 f"found {len(text)}"
             )
-        text = text[: width * height]
+        if len(text) > width * height:
+            offset = _token_offset(buf, pos, width * height)
+            raise CubeFormatError(f"{path}: {len(text) - width * height} trailing tokens "
+                                  f"after raster at byte {offset}")
         bad = next((k for k, tok in enumerate(text) if not tok.isdigit()), None)
         if bad is not None:
             offset = _token_offset(buf, pos, bad)

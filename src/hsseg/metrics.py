@@ -5,12 +5,13 @@ chi-squared distance compares marginal-normalized profiles: with band sums
 ``s_j``, per-pixel sums ``t_x`` and grand total ``N``, it is the euclidean
 distance between profiles ``f_j(x) / t_x`` after scaling band j by
 ``sqrt(N / s_j)``. Both metrics therefore reduce internally to a euclidean
-norm on precomputed per-pixel coordinates, which keeps every caller (flood
-fill, seed ordering, geodesic passes) on one identical arithmetic path.
+norm on precomputed per-pixel coordinates, which keeps every caller (flat
+zones, seed ordering, eta growth, geodesic passes) on one path, `_norms`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,6 +23,11 @@ from .grid import Connectivity, SpectralCube
 class MetricKind(Enum):
     EUCLIDEAN = "euclidean"
     CHI_SQUARED = "chi_squared"
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis. Squares diff in place, so pass a temporary."""
+    return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
 
 
 class SpectralMetric:
@@ -52,7 +58,7 @@ class SpectralMetric:
     def distances_flat(self, i: int, pts: np.ndarray) -> np.ndarray:
         """Distances from flat pixel i to each flat pixel in pts (no bounds checks)."""
         cf = self.coords_flat
-        return np.sqrt(np.square(cf[pts] - cf[i]).sum(axis=1))
+        return _norms(cf[pts] - cf[i])
 
     def __repr__(self) -> str:
         return f"SpectralMetric({self.kind.value}, {self.width}x{self.height}x{self.bands})"
@@ -100,64 +106,56 @@ def require_same_grid(cube: SpectralCube, metric: SpectralMetric) -> None:
         )
 
 
-def _norms(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.square(diff).sum(axis=-1))
-
-
+@dataclass(frozen=True, eq=False)
 class EdgeWeights:
-    """Spectral distances across every adjacent pixel pair, by direction.
+    """Neighbour table of one grid and connectivity: the one adjacency of every pass.
 
-    Built once per (metric, connectivity) and shareable between the flood
-    fill and the geodesic passes, which use identical edge weights.
+    Row i of `neighbors` (N x k int32) holds pixel i's neighbours in the
+    canonical order of `Connectivity.offsets` (N, S, W, E, NW, NE, SW, SE),
+    -1 where the offset leaves the grid. `weights` (N x k float64) holds each
+    step's spectral distance, bitwise the same in both directions, and +inf
+    at the -1 entries.
     """
 
-    __slots__ = ("connectivity", "width", "height", "right", "down", "diag_se", "diag_sw")
-
-    def __init__(self, connectivity, width, height, right, down, diag_se=None, diag_sw=None):
-        self.connectivity = connectivity
-        self.width = width
-        self.height = height
-        self.right = right        # (H, W-1): edge (x, y)-(x+1, y)
-        self.down = down          # (H-1, W): edge (x, y)-(x, y+1)
-        self.diag_se = diag_se    # (H-1, W-1): edge (x, y)-(x+1, y+1)
-        self.diag_sw = diag_sw    # (H-1, W-1): edge (x+1, y)-(x, y+1)
-
-    def neighbor_edges(self, x: int, y: int):
-        """Yield (nx, ny, weight) for in-bounds neighbors, canonical order."""
-        w, h = self.width, self.height
-        if y > 0:
-            yield x, y - 1, self.down[y - 1, x]
-        if y < h - 1:
-            yield x, y + 1, self.down[y, x]
-        if x > 0:
-            yield x - 1, y, self.right[y, x - 1]
-        if x < w - 1:
-            yield x + 1, y, self.right[y, x]
-        if self.connectivity is Connectivity.EIGHT:
-            if x > 0 and y > 0:
-                yield x - 1, y - 1, self.diag_se[y - 1, x - 1]
-            if x < w - 1 and y > 0:
-                yield x + 1, y - 1, self.diag_sw[y - 1, x]
-            if x > 0 and y < h - 1:
-                yield x - 1, y + 1, self.diag_sw[y, x - 1]
-            if x < w - 1 and y < h - 1:
-                yield x + 1, y + 1, self.diag_se[y, x]
+    connectivity: Connectivity
+    neighbors: np.ndarray
+    weights: np.ndarray
 
     def total_weight(self) -> float:
         """Sum of all adjacent-pair distances; an upper bound on any geodesic."""
-        total = float(self.right.sum()) + float(self.down.sum())
-        if self.connectivity is Connectivity.EIGHT:
-            total += float(self.diag_se.sum()) + float(self.diag_sw.sum())
-        return total
+        forward = self.neighbors > np.arange(len(self.neighbors))[:, None]
+        return float(self.weights[forward].sum())
+
+
+# Pixels per block when filling the weights: bounds the gathered temporaries.
+_EDGE_BLOCK = 1024
 
 
 def build_edge_weights(metric: SpectralMetric,
                        connectivity: Connectivity = Connectivity.FOUR) -> EdgeWeights:
-    c = metric.coords
-    right = _norms(c[:, 1:] - c[:, :-1])
-    down = _norms(c[1:] - c[:-1])
-    se = sw = None
-    if connectivity is Connectivity.EIGHT:
-        se = _norms(c[1:, 1:] - c[:-1, :-1])
-        sw = _norms(c[1:, :-1] - c[:-1, 1:])
-    return EdgeWeights(connectivity, metric.width, metric.height, right, down, se, sw)
+    h, w, n = metric.height, metric.width, metric.pixel_count
+    padded = np.full((h + 2, w + 2), -1, dtype=np.int32)
+    padded[1:-1, 1:-1] = np.arange(n, dtype=np.int32).reshape(h, w)
+    neighbors = np.stack([padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w].ravel()
+                          for dx, dy in connectivity.offsets], axis=1)
+    weights = np.empty(neighbors.shape)
+    cf = metric.coords_flat
+    for start in range(0, n, _EDGE_BLOCK):
+        block = slice(start, start + _EDGE_BLOCK)
+        # -1 gathers the last pixel here; those entries become +inf below
+        diff = cf[neighbors[block]]
+        diff -= cf[block, None]
+        weights[block] = _norms(diff)
+    weights[neighbors < 0] = np.inf
+    return EdgeWeights(connectivity, neighbors, weights)
+
+
+def resolve_edge_weights(metric: SpectralMetric, connectivity: Connectivity,
+                         edge_weights: EdgeWeights | None) -> EdgeWeights:
+    """The given table, checked against the connectivity and the grid, or a fresh one."""
+    if edge_weights is None:
+        return build_edge_weights(metric, connectivity)
+    if (edge_weights.connectivity is not connectivity
+            or len(edge_weights.neighbors) != metric.pixel_count):
+        raise ValueError("edge_weights do not match the connectivity or the grid")
+    return edge_weights

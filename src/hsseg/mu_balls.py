@@ -18,8 +18,8 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .grid import Connectivity, LabelMap, SpectralCube
-from .metrics import (EdgeWeights, SpectralMetric, build_edge_weights,
-                      require_same_grid)
+from .metrics import (EdgeWeights, SpectralMetric, require_same_grid,
+                      resolve_edge_weights)
 from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_ordering
 
 
@@ -41,9 +41,10 @@ def _dijkstra_ball(edge_weights: EdgeWeights, in_domain: np.ndarray,
 
     Lazy-deletion heap; stale entries are skipped when popped. Heap entries
     are (distance, raster index), so equal-priority pops break on raster
-    order and zero-weight plateaus resolve deterministically.
+    order and zero-weight plateaus resolve deterministically. An off-grid
+    entry (-1) weighs +inf, never below `best`'s default, so it is never pushed.
     """
-    w = edge_weights.width
+    neighbors, weights = edge_weights.neighbors, edge_weights.weights
     settled: dict[int, float] = {}
     best = {seed: 0.0}
     heap = [(0.0, seed)]
@@ -52,9 +53,7 @@ def _dijkstra_ball(edge_weights: EdgeWeights, in_domain: np.ndarray,
         if i in settled:
             continue
         settled[i] = d
-        x, y = i % w, i // w
-        for nx, ny, weight in edge_weights.neighbor_edges(x, y):
-            j = ny * w + nx
+        for j, weight in zip(neighbors[i].tolist(), weights[i].tolist()):
             if not in_domain[j] or j in settled:
                 continue
             nd = d + weight
@@ -78,19 +77,13 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
     recomputing the seeds.
     """
     require_same_grid(cube, metric)
-    if flat.labels.shape != (cube.height, cube.width):
-        raise ValueError("flat partition does not match the cube grid")
-    if edge_weights is None:
-        edge_weights = build_edge_weights(metric, connectivity)
-    elif edge_weights.connectivity is not connectivity:
-        raise ValueError("edge_weights connectivity does not match")
+    edge_weights = resolve_edge_weights(metric, connectivity, edge_weights)
     ordering = resolve_ordering(flat, metric, params.seed_order, max_region_size, ordering)
 
-    w, h = cube.width, cube.height
-    out = np.full(w * h, -1, dtype=np.int32)
+    out = np.full(cube.pixel_count, -1, dtype=np.int32)
     # The Dijkstra domain: unassigned pixels of the current class. A finished
     # class has none left, so the mask never needs clearing.
-    free = np.zeros(w * h, dtype=bool)
+    free = np.zeros(cube.pixel_count, dtype=bool)
     next_label = 0
     for pts in ordering.classes():
         if len(pts) == 1:
@@ -106,4 +99,4 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
             out[ball] = next_label
             free[ball] = False
             next_label += 1
-    return LabelMap(out.reshape(h, w), next_label)
+    return LabelMap(out.reshape(cube.height, cube.width), next_label)

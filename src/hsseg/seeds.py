@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import RegionSizeCapError
 from .grid import LabelMap
-from .metrics import SpectralMetric
+from .metrics import SpectralMetric, _norms
 
 DEFAULT_REGION_CAP = 50_000
 
@@ -34,11 +34,6 @@ class SeedOrder(Enum):
 # A class of at least _COLLAPSE_MIN_PIXELS pixels gets one distance row per
 # distinct spectrum. Below the gate np.unique costs more than the rows it saves.
 _COLLAPSE_MIN_PIXELS = 64
-
-
-def _distance_row(coords: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Distances from one spectrum to every row of coords."""
-    return np.sqrt(np.square(coords - spectrum).sum(axis=1))
 
 
 def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
@@ -55,9 +50,9 @@ def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
     if k >= _COLLAPSE_MIN_PIXELS:
         uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
         inverse = inverse.ravel()  # numpy 2.0.0 returns it as (k, 1)
-        sums = np.array([_distance_row(uniq, u)[inverse].sum() for u in uniq])
+        sums = np.array([_norms(uniq - u)[inverse].sum() for u in uniq])
         return sums[inverse]
-    return np.array([_distance_row(coords, c).sum() for c in coords])
+    return np.array([_norms(coords - c).sum() for c in coords])
 
 
 _SINGLETON_KEY = np.zeros(1)
@@ -139,6 +134,8 @@ def resolve_ordering(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
 
     A given ordering was checked against its own cap when it was built.
     """
+    if flat.labels.shape != (metric.height, metric.width):
+        raise ValueError("flat partition does not match the metric's grid")
     if ordering is None:
         return order_classes(flat, metric, order, max_region_size)
     if ordering.order is not order:

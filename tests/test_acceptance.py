@@ -52,7 +52,7 @@ def tooth():
 
 @pytest.fixture(scope="module")
 def flat_batch():
-    """Criterion 2 runs: 200 random cubes, flood fill vs union-find."""
+    """Criterion 2 runs: 200 random cubes, array components vs union-find."""
     rng = np.random.default_rng(BASE_SEED + 2)
     trials = []
     started = time.perf_counter()

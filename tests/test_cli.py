@@ -192,6 +192,16 @@ def test_error_exit_codes(tmp_path, capsys):
     assert run_cli("flat", "--input", ascii_bad, "--lambda", 1,
                    "--outdir", tmp_path) == 3
     assert "bad.pgm: non-integer sample b'x' at byte 9" in capsys.readouterr().err
+    # anything after the raster is a format error: one image per file
+    for name, body, message in (
+            ("tail5.pgm", b"P5\n2 1\n255\n\x01\x02\x00\x00",
+             "tail5.pgm: 2 trailing bytes after raster at offset 13"),
+            ("tail2.pgm", b"P2 2 1 9\n1 2 3 x\n",
+             "tail2.pgm: 2 trailing tokens after raster at byte 13")):
+        (tmp_path / name).write_bytes(body)
+        assert run_cli("flat", "--input", tmp_path / name, "--lambda", 0,
+                       "--outdir", tmp_path) == 3
+        assert message in capsys.readouterr().err
     # all-zero pixel breaks the chi-squared marginals
     zero = tmp_path / "zero.pgm"
     zero.write_bytes(b"P5\n2 1\n255\n\x00\x05")
@@ -229,6 +239,17 @@ def test_toothsaw_sweeps_script():
     # the frozen curve of test_mu_balls.py::test_sweep_counts_regression
     assert [int(r[2]) for r in rows] == [21, 10, 7, 4, 3, 3, 3, 3, 2, 2, 2]
     assert lines[-1].endswith(": 1 region(s)")
+
+
+def test_cli_does_not_import_scipy():
+    # scipy's import would slow every job's start-up, and the benchmark's
+    # independent flat-zone check is scipy's connected_components
+    env = dict(os.environ, PYTHONPATH=str(Path(hsseg.__file__).parents[1]))
+    code = ("import sys, hsseg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_library_sketch_runs():

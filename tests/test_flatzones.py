@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (Connectivity, LambdaParams, MetricKind, SpectralCube,
-                   build_edge_weights, build_metric, lambda_flat_zones,
+from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind, MuParams,
+                   SpectralCube, build_edge_weights, build_metric,
+                   eta_bounded_regions, lambda_flat_zones, mu_geodesic_balls,
                    relabel_dense)
+from hsseg import flatzones
 
 from conftest import cubes
 from oracles import (flat_zone_class_sets, flat_zones_unionfind, is_refinement,
@@ -23,7 +27,7 @@ def test_lambda_above_max_edge_gives_one_zone():
     cube = SpectralCube(rng.uniform(0, 1, size=(5, 6, 3)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     ew = build_edge_weights(metric, Connectivity.FOUR)
-    lam = max(ew.right.max(), ew.down.max())
+    lam = ew.weights[ew.neighbors >= 0].max()
     fz = lambda_flat_zones(cube, LambdaParams(metric, float(lam)))
     assert fz.count == 1
 
@@ -103,3 +107,61 @@ def test_shared_edge_weights_must_match_connectivity(tooth_setup):
     ew = build_edge_weights(metric, Connectivity.EIGHT)
     with pytest.raises(ValueError):
         lambda_flat_zones(cube, LambdaParams(metric, 1.0), edge_weights=ew)
+    # a table of another grid
+    small = build_metric(SpectralCube(np.ones((2, 2, 1))), MetricKind.EUCLIDEAN)
+    with pytest.raises(ValueError, match="do not match the connectivity or the grid"):
+        lambda_flat_zones(cube, LambdaParams(metric, 1.0), edge_weights=build_edge_weights(small))
+
+
+def spiral_path(n):
+    """(x, y) pixels of a square spiral on an n x n grid, arms one pixel apart."""
+    x = y = 0
+    path = [(0, 0)]
+    lengths = [n - 1] + [m for m in range(n - 1, 1, -2) for _ in (0, 1)]
+    for k, length in enumerate(lengths):
+        dx, dy = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+        for _ in range(length):
+            x, y = x + dx, y + dy
+            path.append((x, y))
+    return path
+
+
+def test_spiral_path_takes_few_hooking_rounds(monkeypatch):
+    # a 1-pixel-wide spiral is one zone whose ends are far apart along the
+    # path; every off-path pixel is a singleton (steps >= 2 > lambda)
+    n = 256
+    data = 2.0 * np.arange(1, n * n + 1).reshape(n, n)
+    path = spiral_path(n)
+    for x, y in path:
+        data[y, x] = 0.0
+    cube = SpectralCube(data[:, :, None])
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    rounds = []
+    hook = flatzones._hook
+    monkeypatch.setattr(flatzones, "_hook", lambda *a: rounds.append(1) or hook(*a))
+    for conn in Connectivity:
+        rounds.clear()
+        got = lambda_flat_zones(cube, LambdaParams(metric, 1.0, conn))
+        expected = flat_zones_unionfind(cube, MetricKind.EUCLIDEAN, 1.0, conn)
+        assert np.array_equal(got.labels, expected.labels)
+        assert got.count == n * n - len(path) + 1
+        assert len(rounds) <= 2 * math.ceil(math.log2(n * n))
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+@pytest.mark.parametrize("conn", list(Connectivity))
+def test_off_grid_entries_join_nothing(shape, conn):
+    # numpy reads index -1 as the last pixel. The first and last pixels share
+    # a spectrum and every other step is 10, above each threshold below.
+    values = [0.0, 10.0, 20.0, 30.0, 40.0, 0.0]
+    cube = SpectralCube(np.array(values).reshape(*shape, 1))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    ew = build_edge_weights(metric, conn)
+    one_class = lambda_flat_zones(cube, LambdaParams(metric, math.inf, conn), edge_weights=ew)
+    passes = [
+        lambda_flat_zones(cube, LambdaParams(metric, 5.0, conn), edge_weights=ew),
+        eta_bounded_regions(cube, metric, one_class, EtaParams(5.0), conn, edge_weights=ew),
+        mu_geodesic_balls(cube, metric, one_class, MuParams(5.0), conn, edge_weights=ew),
+    ]
+    for labels in passes:
+        assert labels.count == len(values)

@@ -200,6 +200,22 @@ def test_graymap_errors(tmp_path):
     with pytest.raises(BadHeaderError,
                        match=r"over\.pgm: sample 10 at byte 12 exceeds declared maxval 9"):
         read_graymap_stack([over])
+    # one image per file: any byte after a P5 raster, any token after a P2 one
+    tail = tmp_path / "tail.pgm"
+    tail.write_bytes(b"P5\n2 1\n255\n\x01\x02\n")
+    with pytest.raises(CubeFormatError,
+                       match=r"tail\.pgm: 1 trailing bytes after raster at offset 13"):
+        read_graymap_stack([tail])
+    tail.write_bytes(b"P5\n2 1\n255\n\x01\x02P5\n2 1\n255\n\x01\x02")
+    with pytest.raises(CubeFormatError, match=r"13 trailing bytes after raster at offset 13"):
+        read_graymap_stack([tail])
+    tail.write_bytes(b"P2 2 1 9\n1 2  # 3\n")
+    with pytest.raises(CubeFormatError,
+                       match=r"tail\.pgm: 2 trailing tokens after raster at byte 14"):
+        read_graymap_stack([tail])
+    # trailing whitespace after a P2 raster stays legal
+    tail.write_bytes(b"P2 2 1 9\n1 2 \n\t\n")
+    assert read_graymap_stack([tail]).data.ravel().tolist() == [1.0, 2.0]
 
 
 def _report(**overrides):

@@ -9,7 +9,7 @@ from hsseg import (Connectivity, DegenerateMarginalError, MetricKind,
                    SpectralCube, build_edge_weights, build_metric)
 
 from conftest import cubes, library_distance, positive_cubes
-from oracles import coordinates, distance, neighbors
+from oracles import _OFFSETS, coordinates, distance, neighbors
 
 
 def two_pixel_cube():
@@ -126,22 +126,52 @@ def test_vectorized_distances_match_scalar_exactly(cube, data):
 @settings(max_examples=60)
 def test_edge_weights_match_scalar_distance_exactly(cube):
     m = build_metric(cube, MetricKind.EUCLIDEAN)
-    w = cube.width
+    w, h = cube.width, cube.height
     for conn in (Connectivity.FOUR, Connectivity.EIGHT):
         ew = build_edge_weights(m, conn)
-        for y in range(cube.height):
+        assert ew.neighbors.shape == ew.weights.shape == (w * h, len(_OFFSETS[conn.value]))
+        assert ew.neighbors.dtype == np.int32
+        for y in range(h):
             for x in range(w):
-                got = [((nx, ny), wt) for nx, ny, wt in ew.neighbor_edges(x, y)]
-                expected = [(n, library_distance(m, (x, y), n))
-                            for n in neighbors((x, y), conn, w, cube.height)]
-                # same neighbours in canonical order, bitwise-equal weights
-                assert got == expected
+                i = y * w + x
+                row = ew.neighbors[i].tolist()
+                # canonical order, -1 in the slot of every offset off the grid
+                assert row == [(y + dy) * w + x + dx if 0 <= x + dx < w and 0 <= y + dy < h
+                               else -1 for dx, dy in _OFFSETS[conn.value]]
+                assert [j for j in row if j >= 0] == [
+                    ny * w + nx for nx, ny in neighbors((x, y), conn, w, h)]
+                for k, j in enumerate(row):
+                    got = ew.weights[i, k]
+                    if j < 0:
+                        assert got == np.inf
+                        continue
+                    # bitwise the scalar distance, and the same in both directions
+                    assert got == library_distance(m, (x, y), (j % w, j // w))
+                    assert got == ew.weights[j][ew.neighbors[j] == i][0]
+
+
+def test_edge_weights_keep_bits_with_many_bands():
+    # numpy's pairwise sum switches at 8 terms and works in blocks of 128
+    rng = np.random.default_rng(3)
+    for bands in (8, 9, 33, 129):
+        cube = SpectralCube(rng.uniform(0, 1, size=(3, 4, bands)))
+        for kind in MetricKind:
+            m = build_metric(cube, kind)
+            ew = build_edge_weights(m, Connectivity.EIGHT)
+            for i, row in enumerate(ew.neighbors.tolist()):
+                pts = np.array([j for j in row if j >= 0])
+                assert ew.weights[i][ew.neighbors[i] >= 0].tobytes() == \
+                    m.distances_flat(i, pts).tobytes()
 
 
 def test_edge_weight_bounds_on_known_cube():
     cube = SpectralCube(np.array([[[0.0], [3.0]], [[4.0], [0.0]]]))
     m = build_metric(cube, MetricKind.EUCLIDEAN)
     ew = build_edge_weights(m, Connectivity.FOUR)
-    assert ew.right.tolist() == [[3.0], [4.0]]
-    assert ew.down.tolist() == [[4.0, 3.0]]
+    inf = np.inf
+    # rows are pixels in raster order, columns N, S, W, E
+    assert ew.neighbors.tolist() == [[-1, 2, -1, 1], [-1, 3, 0, -1],
+                                     [0, -1, -1, 3], [1, -1, 2, -1]]
+    assert ew.weights.tolist() == [[inf, 4.0, inf, 3.0], [inf, 3.0, 3.0, inf],
+                                   [4.0, inf, inf, 4.0], [3.0, inf, 4.0, inf]]
     assert ew.total_weight() == 3.0 + 4.0 + 4.0 + 3.0

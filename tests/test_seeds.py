@@ -175,8 +175,8 @@ def test_order_classes_matches_per_class_reference(order):
 
 def test_repeated_spectra_take_one_distance_row_each(monkeypatch):
     rows = []
-    row = seeds._distance_row
-    monkeypatch.setattr(seeds, "_distance_row", lambda c, s: rows.append(len(c)) or row(c, s))
+    norms = seeds._norms
+    monkeypatch.setattr(seeds, "_norms", lambda d: rows.append(len(d)) or norms(d))
     rng = np.random.default_rng(8)
     gate = seeds._COLLAPSE_MIN_PIXELS
     # class 0: 4 * gate pixels holding 3 spectra; class 1: gate distinct spectra
