@@ -68,7 +68,13 @@ def lambda_flat_zones(cube: SpectralCube, params: LambdaParams,
     v = edge_weights.neighbors[joined]
     root = np.arange(cube.pixel_count, dtype=np.int32)
     while len(u):
-        root = _hook(root, u, v)
+        hooked = _hook(root, u, v)
+        if np.array_equal(hooked, root):
+            # a two-way entry always moves the larger of its roots, so every
+            # entry left is one-way: i lists j, and j does not list i within lambda
+            raise ValueError(f"edge_weights entry {u[0]} -> {v[0]} is one-way at "
+                             f"lambda = {params.lam}")
+        root = hooked
         apart = root[u] != root[v]
         u, v = u[apart], v[apart]
     # each zone's root is its smallest raster index

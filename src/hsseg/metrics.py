@@ -33,10 +33,11 @@ def _norms(diff: np.ndarray) -> np.ndarray:
 class SpectralMetric:
     """Distance context bound to one cube.
 
-    Immutable after build; `distances_flat` is pure and safe to call from
-    any number of concurrent workers. For chi-squared the marginals are
-    folded into `coords` once here, since segmentation passes evaluate
-    distances O(K^2) times per region.
+    Immutable after build, so it is safe to share between concurrent
+    readers. For chi-squared the marginals are folded into `coords` once
+    here, since segmentation passes evaluate distances O(K^2) times per
+    region. Every distance is `_norms` of a `coords_flat` difference, so
+    `distances_flat` and `seeds.pair_distances` agree bit for bit.
     """
 
     __slots__ = ("kind", "width", "height", "bands", "coords")
@@ -114,7 +115,7 @@ class EdgeWeights:
     canonical order of `Connectivity.offsets` (N, S, W, E, NW, NE, SW, SE),
     -1 where the offset leaves the grid. `weights` (N x k float64) holds each
     step's spectral distance, bitwise the same in both directions, and +inf
-    at the -1 entries.
+    at the -1 entries. `build_edge_weights` makes both arrays read-only.
     """
 
     connectivity: Connectivity
@@ -147,6 +148,8 @@ def build_edge_weights(metric: SpectralMetric,
         diff -= cf[block, None]
         weights[block] = _norms(diff)
     weights[neighbors < 0] = np.inf
+    # frozen, so a shared table keeps the symmetry every pass relies on
+    neighbors.flags.writeable = weights.flags.writeable = False
     return EdgeWeights(connectivity, neighbors, weights)
 
 

@@ -85,12 +85,10 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
     # class has none left, so the mask never needs clearing.
     free = np.zeros(cube.pixel_count, dtype=bool)
     next_label = 0
-    for pts in ordering.classes():
-        if len(pts) == 1:
-            # a lone seed is its own ball at distance 0
-            out[pts[0]] = next_label
-            next_label += 1
-            continue
+    for singletons, pts in ordering.runs():
+        # a lone seed is its own ball at distance 0
+        out[singletons] = np.arange(next_label, next_label + len(singletons))
+        next_label += len(singletons)
         free[pts] = True
         for seed in pts.tolist():
             if not free[seed]:

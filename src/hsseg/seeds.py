@@ -9,7 +9,10 @@ already took, so later seeds are medians of the original class ordering,
 not of the unassigned remainder. The ordering depends only on the flat
 partition, the metric and the seed order, so `order_classes` computes it
 once for all classes, and both passes and any number of parameter values
-share that one `ClassOrdering`.
+share that one `ClassOrdering`. A one-pixel class needs no distance at all;
+classes below `_COLLAPSE_MIN_PIXELS` are batched by size into one distance
+block each, and larger ones take one distance row per distinct spectrum.
+Every path gives the keys of the per-pixel row loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,42 +35,69 @@ class SeedOrder(Enum):
 
 
 # A class of at least _COLLAPSE_MIN_PIXELS pixels gets one distance row per
-# distinct spectrum. Below the gate np.unique costs more than the rows it saves.
+# distinct spectrum. Below the gate np.unique costs more than the rows it saves,
+# and classes are batched by size instead.
 _COLLAPSE_MIN_PIXELS = 64
+
+# Bytes of the (classes, K, K, bands) difference block of one batch of small
+# classes of K pixels; a batch holds at least one class.
+_BLOCK_BYTES = 1 << 18
+
+
+def pair_distances(metric: SpectralMetric, pts: np.ndarray) -> np.ndarray:
+    """All distances within each row of pts: (n, k) pixels give (n, k, k).
+
+    [i, a, b] is _norms(c[i, b] - c[i, a]) for c the coordinates of pts, so
+    row a holds the terms of _norms(coords - coords[a]) in the same order, and
+    its sum and its comparisons keep their bits.
+    """
+    c = metric.coords_flat[pts]
+    return _norms(c[:, None] - c[:, :, None])
+
+
+def size_batches(sizes: np.ndarray, starts: np.ndarray, pixels: np.ndarray, bands: int):
+    """Yield (at, pts) for the classes of 2 to _COLLAPSE_MIN_PIXELS - 1 pixels, by size.
+
+    Class i has sizes[i] pixels from pixels[starts[i]:]. at indexes sizes, and
+    row j of pts (n, K) holds the pixels of class at[j]. A batch holds at
+    least one class, and as many more as keep its (n, K, K, bands) float64
+    difference block under _BLOCK_BYTES.
+    """
+    for k in range(2, min(int(sizes.max()) + 1, _COLLAPSE_MIN_PIXELS)):
+        same = np.flatnonzero(sizes == k)
+        batch = max(1, _BLOCK_BYTES // (k * k * bands * 8))
+        for b in range(0, len(same), batch):
+            at = same[b:b + batch]
+            yield at, pixels[starts[at, None] + np.arange(k)]
 
 
 def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
-    """Exact O(K^2) cumulative distances for the pixels in pts_flat.
+    """Exact O(K^2) cumulative distances for a class of at least the gate.
 
     Pixels with equal spectra have equal rows, and a row gathered from the
     distances to the distinct spectra (`row[inverse]`) holds the same K terms
     in the same raster order, so its sum has the same bits as the per-pixel
-    row's. Classes of at least _COLLAPSE_MIN_PIXELS pixels compute one row per
-    distinct spectrum; smaller classes one row per pixel.
+    row's: one row is computed per distinct spectrum.
     """
     coords = metric.coords_flat[pts_flat]
-    k = len(pts_flat)
-    if k >= _COLLAPSE_MIN_PIXELS:
-        uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
-        inverse = inverse.ravel()  # numpy 2.0.0 returns it as (k, 1)
-        sums = np.array([_norms(uniq - u)[inverse].sum() for u in uniq])
-        return sums[inverse]
-    return np.array([_norms(coords - c).sum() for c in coords])
-
-
-_SINGLETON_KEY = np.zeros(1)
-_SINGLETON_KEY.flags.writeable = False
+    uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
+    inverse = inverse.ravel()  # numpy 2.0.0 returns it as (k, 1)
+    sums = np.array([_norms(uniq - u)[inverse].sum() for u in uniq])
+    return sums[inverse]
 
 
 def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
                     max_region_size: int = DEFAULT_REGION_CAP):
-    """Yield (label, class_pixels_flat, keys) per class of a partition.
+    """Yield (label, class_pixels_flat, keys) per class of two or more pixels.
 
     One stable argsort of the labels groups the pixels, so each class comes
     out in raster order. keys are the cumulative distances, negated for
     ANTIMEDIAN_FIRST, so ascending keys with raster tie breaks give the seed
-    order. Every class is checked against the cap before any cumulative
-    distance is computed; a one-pixel class gets 0.0 without the kernel.
+    order. Every class is checked against the cap before any distance is
+    computed. A one-pixel class has key 0.0 and is not yielded. Classes below
+    _COLLAPSE_MIN_PIXELS come first, by size, and each batch of one size takes
+    its keys from one pair_distances block; larger classes follow through
+    _cumdist. Both give the bits of the per-pixel row loop.
     """
     lab = flat.labels.ravel()
     grouped = np.argsort(lab, kind="stable")
@@ -79,11 +109,15 @@ def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
             f"class {c} has {sizes[c]} pixels, above the cap of {max_region_size}"
         )
     sign = 1.0 if order is SeedOrder.MEDIAN_FIRST else -1.0
-    start = 0
-    for c, size in enumerate(sizes):
-        pts = grouped[start:start + size]
-        yield c, pts, _SINGLETON_KEY if size == 1 else sign * _cumdist(metric, pts)
-        start += size
+    offsets = np.zeros(flat.count + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    for labels, pts in size_batches(sizes, offsets, grouped, metric.bands):
+        keys = pair_distances(metric, pts).sum(axis=-1)
+        keys *= sign
+        yield from zip(labels.tolist(), pts, keys)
+    for c in np.flatnonzero(sizes >= _COLLAPSE_MIN_PIXELS).tolist():
+        pts = grouped[offsets[c]:offsets[c + 1]]
+        yield c, pts, sign * _cumdist(metric, pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,32 +134,38 @@ class ClassOrdering:
     pixels: np.ndarray
     offsets: np.ndarray
 
-    def classes(self):
-        """Yield each class's pixels in seed order."""
-        for start, end in zip(self.offsets[:-1], self.offsets[1:]):
-            yield self.pixels[start:end]
+    def runs(self):
+        """Yield (singletons, pts) per class of two or more pixels, in class order.
+
+        pts is the class's seed sequence; singletons holds the pixels of the
+        one-pixel classes between the previous such class and this one, one
+        class each. A last item holds the trailing one-pixel classes and an
+        empty pts.
+        """
+        offsets, done = self.offsets, 0
+        for c in np.flatnonzero(np.diff(offsets) > 1):
+            start, end = offsets[c], offsets[c + 1]
+            yield self.pixels[done:start], self.pixels[start:end]
+            done = end
+        yield self.pixels[done:], self.pixels[:0]
 
 
 def order_classes(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
                   max_region_size: int = DEFAULT_REGION_CAP) -> ClassOrdering:
     """Seed sequence of every class, from one pass over class_orderings.
 
-    One lexsort over (label, key, raster index) orders all classes at once;
+    The keys go to one raster-indexed buffer, where one-pixel classes keep
+    0.0, and one stable lexsort over (label, key) orders all classes at once:
     ties in cumulative distance break on ascending raster index.
     """
-    n = flat.labels.size
-    pixels = np.empty(n, dtype=np.intp)
-    keys = np.empty(n)
+    lab = flat.labels.ravel()
+    keys = np.zeros(lab.size)
+    for _, pts, class_keys in class_orderings(flat, metric, order, max_region_size):
+        keys[pts] = class_keys
+    pixels = np.lexsort((keys, lab))
     offsets = np.zeros(flat.count + 1, dtype=np.intp)
-    start = 0
-    for c, pts, class_keys in class_orderings(flat, metric, order, max_region_size):
-        end = start + len(pts)
-        pixels[start:end] = pts
-        keys[start:end] = class_keys
-        offsets[c + 1] = end
-        start = end
-    seq = np.lexsort((pixels, keys, flat.labels.ravel()[pixels]))
-    return ClassOrdering(order, pixels[seq], offsets)
+    np.cumsum(np.bincount(lab, minlength=flat.count), out=offsets[1:])
+    return ClassOrdering(order, pixels, offsets)
 
 
 def resolve_ordering(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,

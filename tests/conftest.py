@@ -44,16 +44,20 @@ def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST,
 
     The region becomes class 0 of a two-class partition (the rest of the
     grid is class 1). Keys come from class_orderings and are negated for
-    ANTIMEDIAN_FIRST; seeds come from order_classes.
+    ANTIMEDIAN_FIRST; a one-pixel region is not yielded and has key 0.0.
+    Seeds come from order_classes.
     """
     w = metric.width
     labels = np.ones((metric.height, w), dtype=np.int32)
     for x, y in region:
         labels[y, x] = 0
     flat = LabelMap(labels)
-    _, pts, keys = next(class_orderings(flat, metric, order, max_region_size))
-    key = {PixelIndex(i % w, i // w): float(k) for i, k in zip(pts.tolist(), keys)}
-    first = next(order_classes(flat, metric, order, max_region_size).classes())
+    key = {PixelIndex(*p): 0.0 for p in region}
+    for c, pts, keys in class_orderings(flat, metric, order, max_region_size):
+        if c == 0:
+            key = {PixelIndex(i % w, i // w): float(k) for i, k in zip(pts.tolist(), keys)}
+    ordering = order_classes(flat, metric, order, max_region_size)
+    first = ordering.pixels[:ordering.offsets[1]]
     return key, [PixelIndex(i % w, i // w) for i in first.tolist()]
 
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsseg import (Connectivity, EtaParams, LabelMap, LambdaParams, MetricKind,
-                   SeedOrder, SpectralCube, SpectralMetric, build_metric,
-                   eta_bounded_regions, lambda_flat_zones)
+                   SeedOrder, SpectralCube, build_metric, eta_bounded_regions,
+                   lambda_flat_zones, relabel_dense)
+from hsseg import eta_regions, seeds
 
 from conftest import cubes
 from oracles import classes_are_connected, eta_regions_bruteforce, is_refinement
@@ -119,10 +120,13 @@ def test_flat_partition_must_match_grid(tooth_setup):
 
 
 def test_singleton_classes_skip_distances(monkeypatch):
+    # every distance of the ordering and of the pass goes through these names
     calls = []
-    distances = SpectralMetric.distances_flat
-    monkeypatch.setattr(SpectralMetric, "distances_flat",
-                        lambda m, i, p: calls.append(i) or distances(m, i, p))
+    for module in (seeds, eta_regions):
+        for name in ("pair_distances", "_norms"):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, name=name, fn=fn:
+                                calls.append(name) or fn(*a))
     rng = np.random.default_rng(2)
     cube = SpectralCube(rng.uniform(0, 1, size=(3, 4, 2)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
@@ -130,3 +134,8 @@ def test_singleton_classes_skip_distances(monkeypatch):
     out = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
     assert calls == []
     assert np.array_equal(out.labels, flat.labels)
+    # the spies see a class of two pixels: one block in the ordering, one in the pass
+    flat = relabel_dense(np.array([[0, 0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10]]))
+    out = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
+    assert calls == ["pair_distances", "_norms"] * 2
+    assert out.count == 12

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind, MuParams,
-                   SpectralCube, build_edge_weights, build_metric,
+from hsseg import (Connectivity, EdgeWeights, EtaParams, LambdaParams, MetricKind,
+                   MuParams, SpectralCube, build_edge_weights, build_metric,
                    eta_bounded_regions, lambda_flat_zones, mu_geodesic_balls,
                    relabel_dense)
 from hsseg import flatzones
@@ -165,3 +165,23 @@ def test_off_grid_entries_join_nothing(shape, conn):
     ]
     for labels in passes:
         assert labels.count == len(values)
+
+
+def test_one_way_entry_raises_instead_of_hanging():
+    # pixel 0 lists pixel 1 as its east neighbour, pixel 1 lists nobody: the
+    # entry joins two roots, and hooking never moves the smaller one
+    cube = SpectralCube(np.zeros((1, 2, 1)))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    neighbors = np.array([[-1, -1, -1, 1], [-1, -1, -1, -1]], dtype=np.int32)
+    table = EdgeWeights(Connectivity.FOUR, neighbors, np.where(neighbors >= 0, 0.0, np.inf))
+    with pytest.raises(ValueError, match="entry 0 -> 1 is one-way"):
+        lambda_flat_zones(cube, LambdaParams(metric, 1.0), edge_weights=table)
+
+
+def test_built_edge_weights_are_read_only():
+    metric = build_metric(SpectralCube(np.zeros((2, 2, 1))), MetricKind.EUCLIDEAN)
+    table = build_edge_weights(metric)
+    with pytest.raises(ValueError, match="read-only"):
+        table.neighbors[0, 3] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        table.weights[0, 3] = np.inf

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (EtaParams, LambdaParams, MetricKind, MuParams,
-                   RegionSizeCapError, SeedOrder, SpectralCube, build_metric,
-                   eta_bounded_regions, lambda_flat_zones, mu_geodesic_balls,
-                   order_classes, relabel_dense)
+from hsseg import (EtaParams, LabelMap, LambdaParams, MetricKind, MuParams,
+                   RegionSizeCapError, SeedOrder, SpectralCube, build_edge_weights,
+                   build_metric, eta_bounded_regions, lambda_flat_zones,
+                   mu_geodesic_balls, order_classes, relabel_dense)
 from hsseg import seeds
 from hsseg.seeds import class_orderings
 
@@ -114,14 +116,15 @@ def _assert_matches_reference(cube, flat, metric, order):
     got = order_classes(flat, metric, order)
     assert got.order is order
     assert got.offsets.tolist() == np.cumsum([0] + [len(c) for c in classes]).tolist()
-    for mine, ref in zip(got.classes(), classes, strict=True):
-        assert mine.tolist() == ref.tolist()
+    for c, ref in enumerate(classes):
+        assert got.pixels[got.offsets[c]:got.offsets[c + 1]].tolist() == ref.tolist()
+    yielded = []
     for c, pts, key in class_orderings(flat, metric, order):
+        yielded.append(c)
         assert pts.tolist() == np.flatnonzero(flat.labels.ravel() == c).tolist()
-        if len(pts) == 1:
-            assert key.tolist() == [0.0]
-        else:
-            assert key.tobytes() == keys[c].tobytes()
+        assert key.tobytes() == keys[c].tobytes()
+    # every class of two or more pixels once; one-pixel classes are not yielded
+    assert sorted(yielded) == [c for c, ref in enumerate(classes) if len(ref) > 1]
 
 
 # (distinct spectra U, pixels K) per class: U at 1, 7, 8, 9, 128 and 129 with
@@ -173,6 +176,94 @@ def test_order_classes_matches_per_class_reference(order):
             _assert_matches_reference(cube, flat, build_metric(cube, kind), order)
 
 
+def _small_classes_cube(rng, bands, per_size=3, width=64):
+    """per_size classes of every size below the gate plus singletons, as (cube, flat).
+
+    Each class is a run of raster pixels, in a shuffled class order, and a
+    fifth of all pixels then trade places, so classes interleave. The first
+    two pixels of a class share a spectrum: their keys tie exactly.
+    """
+    sizes = np.repeat(np.arange(2, seeds._COLLAPSE_MIN_PIXELS), per_size)
+    sizes = np.concatenate([sizes, np.ones(300, dtype=int)])
+    rng.shuffle(sizes)
+    n = sizes.sum() + -sizes.sum() % width
+    sizes = np.concatenate([sizes, np.ones(n - sizes.sum(), dtype=int)])
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    data = rng.uniform(0.1, 1.0, size=(n, bands))
+    starts = np.cumsum(sizes) - sizes
+    data[starts[sizes > 1] + 1] = data[starts[sizes > 1]]
+    moved = rng.choice(n, size=n // 5, replace=False)
+    owner[moved], data[moved] = owner[moved[::-1]], data[moved[::-1]]
+    h = n // width
+    return (SpectralCube(data.reshape(h, width, bands)),
+            relabel_dense(owner.reshape(h, width)))
+
+
+@pytest.mark.parametrize("bands", [1, 7, 8, 9, 33, 128, 129])
+def test_size_batches_match_per_class_reference(bands, monkeypatch):
+    blocks = []
+    kernel = seeds.pair_distances
+    monkeypatch.setattr(seeds, "pair_distances",
+                        lambda m, p: blocks.append(p.shape) or kernel(m, p))
+    cube, flat = _small_classes_cube(np.random.default_rng(bands), bands)
+    for kind in MetricKind:
+        metric = build_metric(cube, kind)
+        for order in SeedOrder:
+            _assert_matches_reference(cube, flat, metric, order)
+    # every size below the gate, in blocks under the budget; from 7 bands on
+    # the largest classes take a block each
+    gate = seeds._COLLAPSE_MIN_PIXELS
+    assert {k for _, k in blocks} == set(range(2, gate))
+    assert all(n == 1 or n * k * k * bands * 8 <= seeds._BLOCK_BYTES for n, k in blocks)
+    assert (max(n for n, k in blocks if k == gate - 1) == 1) == (bands >= 7)
+
+
+def test_block_budget_and_gate_do_not_change_keys_or_labels(monkeypatch):
+    cube, flat = _small_classes_cube(np.random.default_rng(9), 8)
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+
+    def run():
+        ordering = order_classes(flat, metric, ANTI)
+        keys = {c: k.tobytes() for c, _, k in class_orderings(flat, metric, ANTI)}
+        eta = eta_bounded_regions(cube, metric, flat, EtaParams(0.8, ANTI), ordering=ordering)
+        mu = mu_geodesic_balls(cube, metric, flat, MuParams(1.5, ANTI), ordering=ordering)
+        assert flat.count < eta.count < flat.labels.size
+        assert flat.count < mu.count < flat.labels.size
+        return ordering.pixels.tolist(), keys, eta.labels.tolist(), mu.labels.tolist()
+
+    batched = run()
+    # one class per block
+    monkeypatch.setattr(seeds, "_BLOCK_BYTES", 1)
+    assert run() == batched
+    # no batches at all: every class through _cumdist and per-seed accept rows
+    monkeypatch.setattr(seeds, "_COLLAPSE_MIN_PIXELS", 2)
+    assert run() == batched
+
+
+def test_small_class_batches_keep_a_bounded_peak():
+    # 1000 classes of 63 pixels at 64 bands: one unbatched (classes, K, K,
+    # bands) block would take 2 GB; a batch of one class takes 2 MB. The eta
+    # pass reads these classes one seed row at a time, without any block.
+    rng = np.random.default_rng(0)
+    cube = SpectralCube(rng.uniform(0.1, 1.0, size=(63, 1000, 64)))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    flat = LabelMap(np.tile(np.arange(1000), (63, 1)))
+    edge_weights = build_edge_weights(metric)
+    tracemalloc.start()
+    try:
+        ordering = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+        order_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = eta_bounded_regions(cube, metric, flat, EtaParams(1e18),
+                                  edge_weights=edge_weights, ordering=ordering)
+        eta_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.count == 1000
+    assert order_peak < 8 << 20
+    assert eta_peak < 3 << 20
+
+
 def test_repeated_spectra_take_one_distance_row_each(monkeypatch):
     rows = []
     norms = seeds._norms
@@ -194,20 +285,25 @@ def test_repeated_spectra_take_one_distance_row_each(monkeypatch):
 
 def test_singleton_classes_skip_the_kernel(monkeypatch):
     calls = []
-    kernel = seeds._cumdist
-    monkeypatch.setattr(seeds, "_cumdist", lambda m, p: calls.append(len(p)) or kernel(m, p))
+    for name in ("pair_distances", "_cumdist"):
+        kernel = getattr(seeds, name)
+        monkeypatch.setattr(seeds, name, lambda m, p, name=name, kernel=kernel:
+                            calls.append((name, p.shape)) or kernel(m, p))
     cube = SpectralCube(np.arange(6, dtype=float).reshape(2, 3, 1))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     flat = relabel_dense(np.array([[0, 0, 1], [2, 0, 3]]))
     got = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
-    assert calls == [3]
+    # one block for the one class of three pixels, none for the singletons
+    assert calls == [("pair_distances", (1, 3))]
     # class 0 holds values 0, 1, 4 (cumdists 5, 4, 7): median first
-    assert [c.tolist() for c in got.classes()] == [[1, 0, 4], [2], [3], [5]]
+    classes = [got.pixels[a:b].tolist() for a, b in zip(got.offsets[:-1], got.offsets[1:])]
+    assert classes == [[1, 0, 4], [2], [3], [5]]
 
 
 def test_region_cap_checked_before_any_kernel_call(monkeypatch):
     calls = []
-    monkeypatch.setattr(seeds, "_cumdist", lambda m, p: calls.append(len(p)))
+    for name in ("pair_distances", "_cumdist"):
+        monkeypatch.setattr(seeds, name, lambda m, p: calls.append(len(p)))
     cube = SpectralCube(np.arange(8, dtype=float).reshape(2, 4, 1))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     # class 0 (two pixels) is under the cap; class 1 (six pixels) is over it
