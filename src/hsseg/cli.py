@@ -211,9 +211,8 @@ def _cmd_synth(cfg: RunConfig) -> int:
 def _cmd_stats(cfg: RunConfig) -> int:
     values = read_label_values(cfg.labels_path)
     labels = relabel_dense(values)
-    sizes = [int(s) for s in region_sizes(labels)]
     print(f"regions: {labels.count}")
-    print("region_sizes: " + " ".join(str(s) for s in sizes))
+    print("region_sizes: " + " ".join(map(str, region_sizes(labels).tolist())))
     return EXIT_OK
 
 

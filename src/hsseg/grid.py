@@ -80,15 +80,18 @@ class LabelMap:
             raise ValueError(f"label dimensions must be positive, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-        uniq = np.unique(arr)
-        if uniq[0] != 0 or uniq[-1] != len(uniq) - 1:
+        # a label at or above the pixel count leaves one unused; rejecting it
+        # before the bincount keeps a huge label from allocating
+        used = int(arr.max()) + 1
+        if (arr.min() != 0 or used > arr.size
+                or not np.bincount(arr.ravel().astype(np.intp)).all()):
             raise ValueError("labels must be dense: used labels must be exactly 0..count-1")
-        if count is not None and count != len(uniq):
-            raise ValueError(f"declared count {count} does not match {len(uniq)} used labels")
+        if count is not None and count != used:
+            raise ValueError(f"declared count {count} does not match {used} used labels")
         arr = arr.astype(np.int32, copy=False)
         arr.flags.writeable = False
         self.labels = arr
-        self.count = len(uniq)
+        self.count = used
 
     @property
     def width(self) -> int:

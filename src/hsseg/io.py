@@ -245,13 +245,13 @@ class SegmentationReport:
                 f"regions ({self.regions}) does not match region_sizes "
                 f"({len(self.region_sizes)} entries)"
             )
-        if any(s < 1 for s in self.region_sizes):
+        if min(self.region_sizes, default=1) < 1:
             raise ValueError("region sizes must be positive")
 
     @classmethod
     def from_labels(cls, labels: LabelMap, *, algorithm, metric, lam, param,
                     connectivity, seed_order, millis) -> "SegmentationReport":
-        sizes = tuple(int(s) for s in region_sizes(labels))
+        sizes = tuple(region_sizes(labels).tolist())
         return cls(algorithm=algorithm, metric=metric, lam=lam, param=param,
                    connectivity=connectivity, seed_order=seed_order,
                    regions=labels.count, region_sizes=sizes, millis=millis)
@@ -279,7 +279,7 @@ def write_report(report: SegmentationReport, path, *, extra=()) -> None:
         f"connectivity: {report.connectivity}",
         f"seed_order: {_fmt(report.seed_order)}",
         f"regions: {report.regions}",
-        "region_sizes: " + " ".join(str(s) for s in report.region_sizes),
+        "region_sizes: " + " ".join(map(str, report.region_sizes)),
         f"millis: {report.millis:.3f}",
     ]
     lines.extend(extra)

@@ -2,11 +2,11 @@
 
 The geodesic distance between two pixels is the minimum over connecting
 paths of the summed per-step spectral distances. From each seed (taken in
-cumulative-distance order) the ball of radius mu is extracted with a
-priority-queue shortest-path expansion restricted to the not-yet-assigned
-remainder of the flat-zone class: paths may not route through pixels
-already claimed by earlier balls. Geodesic reachability makes every ball
-connected.
+cumulative-distance order) the ball of radius mu is extracted by a
+shortest-path expansion (lockstep relaxation for small classes, a priority
+queue for larger ones) restricted to the not-yet-assigned remainder of the
+flat-zone class: paths may not route through pixels already claimed by
+earlier balls. Geodesic reachability makes every ball connected.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .grid import Connectivity, LabelMap, SpectralCube
+from .growth import refine_classes
 from .metrics import (EdgeWeights, SpectralMetric, require_same_grid,
                       resolve_edge_weights)
 from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_ordering
@@ -74,27 +75,25 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
     The output refines `flat`; labels follow extraction order. The seed is
     always reachable at distance 0, so every class is fully covered.
     `ordering`, from `order_classes` on the same partition, skips
-    recomputing the seeds.
+    recomputing the seeds. Small classes grow in lockstep (see `growth`);
+    each larger class runs one `_dijkstra_ball` per seed.
     """
     require_same_grid(cube, metric)
     edge_weights = resolve_edge_weights(metric, connectivity, edge_weights)
     ordering = resolve_ordering(flat, metric, params.seed_order, max_region_size, ordering)
-
-    out = np.full(cube.pixel_count, -1, dtype=np.int32)
     # The Dijkstra domain: unassigned pixels of the current class. A finished
     # class has none left, so the mask never needs clearing.
     free = np.zeros(cube.pixel_count, dtype=bool)
-    next_label = 0
-    for singletons, pts in ordering.runs():
-        # a lone seed is its own ball at distance 0
-        out[singletons] = np.arange(next_label, next_label + len(singletons))
-        next_label += len(singletons)
+
+    def grow_class(pts: np.ndarray, local: np.ndarray) -> None:
         free[pts] = True
+        step = 0
         for seed in pts.tolist():
             if not free[seed]:
                 continue
             ball = list(_dijkstra_ball(edge_weights, free, seed, params.mu))
-            out[ball] = next_label
+            local[ball] = step
             free[ball] = False
-            next_label += 1
-    return LabelMap(out.reshape(cube.height, cube.width), next_label)
+            step += 1
+
+    return refine_classes(flat, ordering, edge_weights, grow_class, radius=params.mu)

@@ -39,8 +39,9 @@ class SeedOrder(Enum):
 # and classes are batched by size instead.
 _COLLAPSE_MIN_PIXELS = 64
 
-# Bytes of the (classes, K, K, bands) difference block of one batch of small
-# classes of K pixels; a batch holds at least one class.
+# Bytes of the working arrays of one batch of small classes of K pixels, such
+# as the (classes, K, K, bands) difference block of the ordering; a batch holds
+# at least one class.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -55,17 +56,18 @@ def pair_distances(metric: SpectralMetric, pts: np.ndarray) -> np.ndarray:
     return _norms(c[:, None] - c[:, :, None])
 
 
-def size_batches(sizes: np.ndarray, starts: np.ndarray, pixels: np.ndarray, bands: int):
-    """Yield (at, pts) for the classes of 2 to _COLLAPSE_MIN_PIXELS - 1 pixels, by size.
+def size_batches(sizes: np.ndarray, starts: np.ndarray, pixels: np.ndarray, stop: int,
+                 class_bytes):
+    """Yield (at, pts) for the classes of 2 to stop - 1 pixels, by size.
 
     Class i has sizes[i] pixels from pixels[starts[i]:]. at indexes sizes, and
     row j of pts (n, K) holds the pixels of class at[j]. A batch holds at
-    least one class, and as many more as keep its (n, K, K, bands) float64
-    difference block under _BLOCK_BYTES.
+    least one class, and as many more as keep n * class_bytes(K) under
+    _BLOCK_BYTES.
     """
-    for k in range(2, min(int(sizes.max()) + 1, _COLLAPSE_MIN_PIXELS)):
+    for k in range(2, min(int(sizes.max()) + 1, stop)):
         same = np.flatnonzero(sizes == k)
-        batch = max(1, _BLOCK_BYTES // (k * k * bands * 8))
+        batch = max(1, _BLOCK_BYTES // class_bytes(k))
         for b in range(0, len(same), batch):
             at = same[b:b + batch]
             yield at, pixels[starts[at, None] + np.arange(k)]
@@ -111,7 +113,8 @@ def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
     sign = 1.0 if order is SeedOrder.MEDIAN_FIRST else -1.0
     offsets = np.zeros(flat.count + 1, dtype=np.intp)
     np.cumsum(sizes, out=offsets[1:])
-    for labels, pts in size_batches(sizes, offsets, grouped, metric.bands):
+    for labels, pts in size_batches(sizes, offsets, grouped, _COLLAPSE_MIN_PIXELS,
+                                    lambda k: k * k * metric.bands * 8):
         keys = pair_distances(metric, pts).sum(axis=-1)
         keys *= sign
         yield from zip(labels.tolist(), pts, keys)
@@ -133,21 +136,6 @@ class ClassOrdering:
     order: SeedOrder
     pixels: np.ndarray
     offsets: np.ndarray
-
-    def runs(self):
-        """Yield (singletons, pts) per class of two or more pixels, in class order.
-
-        pts is the class's seed sequence; singletons holds the pixels of the
-        one-pixel classes between the previous such class and this one, one
-        class each. A last item holds the trailing one-pixel classes and an
-        empty pts.
-        """
-        offsets, done = self.offsets, 0
-        for c in np.flatnonzero(np.diff(offsets) > 1):
-            start, end = offsets[c], offsets[c + 1]
-            yield self.pixels[done:start], self.pixels[start:end]
-            done = end
-        yield self.pixels[done:], self.pixels[:0]
 
 
 def order_classes(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,

@@ -252,6 +252,25 @@ def test_cli_does_not_import_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_runs_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs 11-25 ms of start-up in every job, and a plain np.unique
+    # imports it; -X importtime lists every module a fresh interpreter loads
+    cube = tmp_path / "cube.hsc"
+    rng = np.random.default_rng(0)
+    hsseg.write_cube(hsseg.SpectralCube(rng.integers(0, 3, size=(6, 7, 2)).astype(float)), cube)
+    env = dict(os.environ, PYTHONPATH=str(Path(hsseg.__file__).parents[1]))
+    for command in ("eta", "mu"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hsseg", command, "--input", str(cube),
+             "--lambda", "1", f"--{command}", "1", "--outdir", str(tmp_path / command)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {"numpy", "hsseg.cli", "hsseg.growth"} <= imported
+        assert [m for m in imported if m.split(".")[:2] == ["numpy", "ma"]] == []
+
+
 def test_readme_library_sketch_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = readme.split("```python\n")[1:]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hsseg import (Connectivity, EtaParams, LabelMap, LambdaParams, MetricKind,
                    SeedOrder, SpectralCube, build_metric, eta_bounded_regions,
                    lambda_flat_zones, relabel_dense)
-from hsseg import eta_regions, seeds
+from hsseg import eta_regions, growth, seeds
 
 from conftest import cubes
 from oracles import classes_are_connected, eta_regions_bruteforce, is_refinement
@@ -120,10 +120,13 @@ def test_flat_partition_must_match_grid(tooth_setup):
 
 
 def test_singleton_classes_skip_distances(monkeypatch):
-    # every distance of the ordering and of the pass goes through these names
+    # every distance of the ordering and of the pass, and every lockstep
+    # growth, goes through these names
     calls = []
-    for module in (seeds, eta_regions):
-        for name in ("pair_distances", "_norms"):
+    spied = ((seeds, ("pair_distances", "_norms")), (eta_regions, ("_norms",)),
+             (growth, ("_grow",)))
+    for module, names in spied:
+        for name in names:
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, name=name, fn=fn:
                                 calls.append(name) or fn(*a))
@@ -134,8 +137,15 @@ def test_singleton_classes_skip_distances(monkeypatch):
     out = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
     assert calls == []
     assert np.array_equal(out.labels, flat.labels)
-    # the spies see a class of two pixels: one block in the ordering, one in the pass
+    # the spies see a class of two pixels: one block in the ordering, then one
+    # seed row and one lockstep growth per region of the pass
     flat = relabel_dense(np.array([[0, 0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10]]))
     out = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
-    assert calls == ["pair_distances", "_norms"] * 2
+    assert calls == ["pair_distances", "_norms"] + ["_norms", "_grow"] * 2
     assert out.count == 12
+    # above the gate the class takes one seed row per region and no growth
+    monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
+    calls.clear()
+    assert np.array_equal(eta_bounded_regions(cube, metric, flat, EtaParams(0.0)).labels,
+                          out.labels)
+    assert calls == ["pair_distances", "_norms"] + ["_norms"] * 2

@@ -64,6 +64,17 @@ def test_labelmap_requires_dense_labels():
         LabelMap(np.array([[0, 1]]), count=3)
 
 
+def test_labelmap_density_check_is_bounded_by_the_map():
+    # a label far above the pixel count is rejected before any per-label array
+    with pytest.raises(ValueError, match="must be dense"):
+        LabelMap(np.array([[0, 2**62]]))
+    with pytest.raises(ValueError, match="must be dense"):
+        LabelMap(np.array([[0, 2]]))
+    assert LabelMap(np.array([[0, 1], [2, 0]], dtype=np.uint64)).count == 3
+    with pytest.raises(ValueError, match="declared count 3 does not match 2 used labels"):
+        LabelMap(np.array([[0, 1]]), count=3)
+
+
 def test_relabel_dense_first_appearance():
     out = relabel_dense(np.array([[7, 7, 3]]))
     assert out.labels.tolist() == [[0, 0, 1]]

@@ -1,0 +1,140 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hsseg import (Connectivity, EtaParams, LabelMap, MetricKind, MuParams, SeedOrder,
+                   SpectralCube, build_edge_weights, build_metric, eta_bounded_regions,
+                   mu_geodesic_balls, order_classes)
+from hsseg import eta_regions, growth
+
+from oracles import eta_regions_bruteforce, mu_balls_bruteforce
+
+GATE = growth._LOCKSTEP_MAX_PIXELS
+ETAS = (0.0, 1.5, 1e18)
+MUS = (0.0, 3.0, 1e18)
+
+
+def _snake_partition(k):
+    """Five snake classes of k pixels, one one-pixel-wide column and a row of singletons.
+
+    The grid is 6 wide and k + 1 high. Columns 0-4 of the top k rows are cut
+    into runs of k pixels along a boustrophedon path, so each run is
+    4-connected and turns where the path does; column 5 is a straight chain
+    of k pixels with hop diameter k - 1; the bottom row holds six one-pixel
+    classes.
+    """
+    labels = np.empty((k + 1, 6), dtype=np.int32)
+    path = [(y, x if y % 2 == 0 else 4 - x) for y in range(k) for x in range(5)]
+    for i, (y, x) in enumerate(path):
+        labels[y, x] = i // k
+    labels[:k, 5] = 5
+    labels[k] = np.arange(6, 12)
+    return LabelMap(labels)
+
+
+def _run_both(cube, metric, flat, conn, order, monkeypatch):
+    """eta and mu labels at every value of ETAS and MUS, in lockstep and per seed."""
+    ew = build_edge_weights(metric, conn)
+    ordering = order_classes(flat, metric, order)
+    runs = []
+    for gate in (GATE, 1):
+        monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", gate)
+        runs.append([eta_bounded_regions(cube, metric, flat, EtaParams(v, order), conn,
+                                         edge_weights=ew, ordering=ordering).labels
+                     for v in ETAS] +
+                    [mu_geodesic_balls(cube, metric, flat, MuParams(v, order), conn,
+                                       edge_weights=ew, ordering=ordering).labels
+                     for v in MUS])
+    return runs
+
+
+@pytest.mark.parametrize("conn", list(Connectivity))
+@pytest.mark.parametrize("k", range(2, GATE + 1))
+def test_lockstep_matches_oracles_and_per_seed_path(k, conn, monkeypatch):
+    # integer levels: exact ties in distances, cumulative distances and
+    # geodesic sums, and zero-weight plateaus
+    rng = np.random.default_rng(k)
+    cube = SpectralCube(rng.integers(1, 4, size=(k + 1, 6, 2)).astype(float))
+    flat = _snake_partition(k)
+    for kind in MetricKind:
+        metric = build_metric(cube, kind)
+        for order in SeedOrder:
+            lockstep, per_seed = _run_both(cube, metric, flat, conn, order, monkeypatch)
+            anti = order is SeedOrder.ANTIMEDIAN_FIRST
+            expected = [eta_regions_bruteforce(cube, kind, flat, v, anti, conn)[0].labels
+                        for v in ETAS]
+            expected += [mu_balls_bruteforce(cube, kind, flat, v, anti, conn)[0].labels
+                         for v in MUS]
+            for got, seed_by_seed, want in zip(lockstep, per_seed, expected):
+                assert np.array_equal(got, want)
+                assert np.array_equal(seed_by_seed, want)
+
+
+@pytest.mark.parametrize("bands", [1, 7, 8, 9, 16, 33, 128, 129])
+def test_eta_seed_rows_keep_their_bits(bands, monkeypatch):
+    # band counts at the block edges of numpy's pairwise sum
+    rng = np.random.default_rng(bands)
+    k = GATE
+    cube = SpectralCube(rng.uniform(0.1, 1.0, size=(k, 12, bands)))
+    flat = LabelMap(np.tile(np.arange(12), (k, 1)))
+    for kind in MetricKind:
+        metric = build_metric(cube, kind)
+        pts = np.arange(k * 12).reshape(k, 12).T
+        seeds = rng.integers(0, k, size=12)
+        rows = eta_regions._seed_rows(metric, pts, pts[np.arange(12), seeds])
+        coords = metric.coords_flat
+        for i, (row, seed) in enumerate(zip(rows, seeds)):
+            per_seed = np.subtract(coords[pts[i]], coords[pts[i, seed]])
+            assert row.tobytes() == eta_regions._norms(per_seed).tobytes()
+            assert row.tobytes() == metric.distances_flat(pts[i, seed], pts[i]).tobytes()
+        # at an eta equal to a distance the comparison is a tie, so a row one
+        # ulp off would move a pixel
+        for eta in np.sort(rows.ravel())[::29]:
+            labels = []
+            for gate in (GATE, 1):
+                monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", gate)
+                labels.append(eta_bounded_regions(cube, metric, flat, EtaParams(eta)).labels)
+            assert np.array_equal(*labels)
+
+
+def test_lockstep_batches_keep_a_bounded_peak():
+    # 1000 classes of the gate size at 64 bands: one unbatched (classes, K,
+    # bands) seed-row block would take 8 MB, and the batches stay under 3 MB.
+    rng = np.random.default_rng(3)
+    cube = SpectralCube(rng.uniform(0.1, 1.0, size=(GATE, 1000, 64)))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    flat = LabelMap(np.tile(np.arange(1000), (GATE, 1)))
+    edge_weights = build_edge_weights(metric)
+    ordering = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+    for run in (lambda: eta_bounded_regions(cube, metric, flat, EtaParams(1e18),
+                                            edge_weights=edge_weights, ordering=ordering),
+                lambda: mu_geodesic_balls(cube, metric, flat, MuParams(1e18),
+                                          edge_weights=edge_weights, ordering=ordering)):
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count == 1000
+        assert peak < 3 << 20
+
+
+def test_grow_members_are_the_settled_set():
+    # a chain 0 - 1 - 2 - 3 with steps 1, 2, 0 and pixel 2 not allowed
+    nbl = np.array([[[4, 1], [0, 2], [1, 3], [2, 4]]])
+    w = np.array([[[np.inf, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, np.inf]]])
+    allowed = np.array([[True, True, False, True]])
+
+    def members(radius):
+        return growth._grow(nbl, w, allowed, np.array([0]), radius)[0].tolist()
+
+    assert members(1.0) == [True, True, False, False]
+    allowed[0, 2] = True
+    # inclusive radius: 1 + 2 = 3 and the zero step after it are both in
+    assert members(3.0) == [True] * 4
+    assert members(2.5) == [True, True, False, False]
+    # an overflowing step sums to +inf: never reached, even at radius inf
+    w[0, 0, 1] = w[0, 1, 0] = np.inf
+    assert members(np.inf) == [True, False, False, False]

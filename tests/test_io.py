@@ -255,6 +255,24 @@ def test_write_report_text(tmp_path):
     assert text.endswith("labels_format: p5\n")
 
 
+def test_report_text_of_a_map_with_many_regions(tmp_path):
+    # 60 000 regions of 1 to 4 pixels, laid out in label order
+    rng = np.random.default_rng(6)
+    sizes = rng.integers(1, 5, size=60_000)
+    sizes[-1] += -sizes.sum() % 400
+    labels = LabelMap(np.repeat(np.arange(60_000), sizes).reshape(-1, 400))
+    report = SegmentationReport.from_labels(
+        labels, algorithm="eta", metric="euclidean", lam=0.5, param=2.0,
+        connectivity=8, seed_order="median", millis=12.3456)
+    path = tmp_path / "report.txt"
+    write_report(report, path)
+    expected = ("algorithm: eta\nmetric: euclidean\nlambda: 0.5\nparam: 2\n"
+                "connectivity: 8\nseed_order: median\nregions: 60000\n"
+                "region_sizes: " + " ".join("%d" % s for s in sizes) + "\n"
+                "millis: 12.346\n")
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 def test_sweep_csv_idempotent_header(tmp_path):
     path = tmp_path / "sweep.csv"
     append_sweep_row(_report(), path)

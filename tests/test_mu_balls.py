@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hsseg import (Connectivity, LabelMap, LambdaParams, MetricKind, MuParams,
                    SeedOrder, SpectralCube, build_edge_weights, build_metric,
                    lambda_flat_zones, mu_geodesic_balls)
-from hsseg import mu_balls
+from hsseg import growth, mu_balls
 
 from conftest import cubes
 from oracles import (PixelIndex, bellman_ford, classes_are_connected,
@@ -168,10 +168,22 @@ def test_singleton_classes_skip_dijkstra(monkeypatch):
     ball = mu_balls._dijkstra_ball
     monkeypatch.setattr(mu_balls, "_dijkstra_ball",
                         lambda e, d, s, r: calls.append(s) or ball(e, d, s, r))
+    grow = growth._grow
+    monkeypatch.setattr(growth, "_grow",
+                        lambda n, w, a, s, r: calls.append(s.tolist()) or grow(n, w, a, s, r))
     cube = SpectralCube(np.arange(12, dtype=float).reshape(3, 4, 1))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     # class 0 is the top row; every other pixel is a class of its own
     flat = LabelMap(np.array([[0, 0, 0, 0], [1, 2, 3, 4], [5, 6, 7, 8]]))
+    expected = [[0, 0, 0, 1], [2, 3, 4, 5], [6, 7, 8, 9]]
+    out = mu_geodesic_balls(cube, metric, flat, MuParams(1.5))
+    # class 0 in seed order is pixels 1, 2, 0, 3: it grows in lockstep from
+    # its first seed, then from its last (local positions 0 and 3)
+    assert calls == [[0], [3]]
+    assert out.labels.tolist() == expected
+    # above the gate it runs one search per seed, from raster pixels 1 and 3
+    monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
+    calls.clear()
     out = mu_geodesic_balls(cube, metric, flat, MuParams(1.5))
     assert calls == [1, 3]
-    assert out.labels.tolist() == [[0, 0, 0, 1], [2, 3, 4, 5], [6, 7, 8, 9]]
+    assert out.labels.tolist() == expected

@@ -9,7 +9,7 @@ from hsseg import (EtaParams, LabelMap, LambdaParams, MetricKind, MuParams,
                    RegionSizeCapError, SeedOrder, SpectralCube, build_edge_weights,
                    build_metric, eta_bounded_regions, lambda_flat_zones,
                    mu_geodesic_balls, order_classes, relabel_dense)
-from hsseg import seeds
+from hsseg import growth, seeds
 from hsseg.seeds import class_orderings
 
 from conftest import cubes, region_seeds
@@ -235,8 +235,9 @@ def test_block_budget_and_gate_do_not_change_keys_or_labels(monkeypatch):
     # one class per block
     monkeypatch.setattr(seeds, "_BLOCK_BYTES", 1)
     assert run() == batched
-    # no batches at all: every class through _cumdist and per-seed accept rows
+    # no batches at all: every class through _cumdist and per-seed growth
     monkeypatch.setattr(seeds, "_COLLAPSE_MIN_PIXELS", 2)
+    monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
     assert run() == batched
 
 
@@ -262,6 +263,26 @@ def test_small_class_batches_keep_a_bounded_peak():
     assert out.count == 1000
     assert order_peak < 8 << 20
     assert eta_peak < 3 << 20
+
+
+def test_large_classes_keep_a_bounded_peak_in_the_mu_pass():
+    # the mu twin of the test above: the pass searches these classes one
+    # seed at a time, without any block
+    rng = np.random.default_rng(0)
+    cube = SpectralCube(rng.uniform(0.1, 1.0, size=(63, 1000, 64)))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    flat = LabelMap(np.tile(np.arange(1000), (63, 1)))
+    edge_weights = build_edge_weights(metric)
+    ordering = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+    tracemalloc.start()
+    try:
+        out = mu_geodesic_balls(cube, metric, flat, MuParams(1e18),
+                                edge_weights=edge_weights, ordering=ordering)
+        mu_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.count == 1000
+    assert mu_peak < 3 << 20
 
 
 def test_repeated_spectra_take_one_distance_row_each(monkeypatch):
