@@ -9,11 +9,9 @@ optionally appending them to a CSV sweep file.
 import argparse
 import time
 
-from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind,
-                   MuParams, SeedOrder, SegmentationReport, append_sweep_row,
-                   build_edge_weights, build_metric, eta_bounded_regions,
-                   lambda_flat_zones, mu_geodesic_balls, order_classes,
-                   tooth_saw_cube)
+from hsseg import (Connectivity, MetricKind, SeedOrder, SegmentationReport,
+                   append_sweep_row, prepare, tooth_saw_cube)
+from hsseg.cli import parse_grid
 
 
 def main():
@@ -24,36 +22,28 @@ def main():
     parser.add_argument("--stop", type=float, default=100.0,
                         help="sweep end value (default 100)")
     args = parser.parse_args()
+    try:
+        values = parse_grid(f"0:{args.stop}:{args.step}")
+    except ValueError as exc:
+        parser.error(str(exc))
 
     cube = tooth_saw_cube()
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    edges = build_edge_weights(metric, Connectivity.FOUR)
-
     print(f"tooth-saw cube: {cube.width}x{cube.height}x{cube.bands}")
     for lam in (9.9, 10.0):
-        zones = lambda_flat_zones(cube, LambdaParams(metric, lam),
-                                  edge_weights=edges)
-        print(f"lambda={lam:<4}: {zones.count} flat zone(s)")
+        pipeline = prepare(cube, MetricKind.EUCLIDEAN, lam, Connectivity.FOUR,
+                           SeedOrder.MEDIAN_FIRST)
+        print(f"lambda={lam:<4}: {pipeline.flat.count} flat zone(s)")
 
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0), edge_weights=edges)
-    # Both passes and every value share one median-first seed ordering.
-    ordering = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
-    values = []
-    v = 0.0
-    while v <= args.stop + 1e-9:
-        values.append(v)
-        v += args.step
-
+    # The lambda 10 pipeline: both passes and every value share its one
+    # median-first seed ordering.
     print(f"\nrefinement sweeps at lambda=10 ({len(values)} values)")
     print(f"{'param':>8}  {'eta regions':>12}  {'mu regions':>12}")
     for value in values:
         t0 = time.perf_counter()
-        eta_out = eta_bounded_regions(cube, metric, flat, EtaParams(value),
-                                      edge_weights=edges, ordering=ordering)
+        eta_out = pipeline.refine("eta", value)
         eta_ms = (time.perf_counter() - t0) * 1000
         t0 = time.perf_counter()
-        mu_out = mu_geodesic_balls(cube, metric, flat, MuParams(value),
-                                   edge_weights=edges, ordering=ordering)
+        mu_out = pipeline.refine("mu", value)
         mu_ms = (time.perf_counter() - t0) * 1000
         print(f"{value:>8g}  {eta_out.count:>12}  {mu_out.count:>12}")
         if args.csv:
@@ -63,11 +53,9 @@ def main():
                     param=value, connectivity=4, seed_order="median",
                     millis=ms), args.csv)
 
-    forced = mu_geodesic_balls(cube, metric, flat,
-                               MuParams(edges.total_weight()),
-                               edge_weights=edges, ordering=ordering)
-    print(f"\nmu at the total edge weight ({edges.total_weight():g}): "
-          f"{forced.count} region(s)")
+    total = pipeline.edge_weights.total_weight()
+    forced = pipeline.refine("mu", total)
+    print(f"\nmu at the total edge weight ({total:g}): {forced.count} region(s)")
 
 
 if __name__ == "__main__":

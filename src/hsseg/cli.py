@@ -12,19 +12,16 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CubeFormatError, DegenerateMarginalError, RegionSizeCapError
-from .eta_regions import EtaParams, eta_bounded_regions
-from .flatzones import LambdaParams, lambda_flat_zones
-from .grid import Connectivity, LabelMap, SpectralCube, region_sizes, relabel_dense
+from .grid import Connectivity, SpectralCube, region_sizes, relabel_dense
 from .io import (HSC1_MAGIC, SegmentationReport, append_sweep_row, read_cube,
                  read_graymap_stack, read_label_values, write_cube,
                  write_labels, write_report)
-from .metrics import MetricKind, build_edge_weights, build_metric
-from .mu_balls import MuParams, mu_geodesic_balls
-from .seeds import SeedOrder, order_classes
+from .metrics import MetricKind
+from .pipeline import Pipeline, prepare
+from .seeds import SeedOrder
 from .synth import ToothSawSpec, tooth_saw_cube
 
 EXIT_OK = 0
@@ -52,32 +49,6 @@ _METRICS = {"euclidean": MetricKind.EUCLIDEAN, "chi2": MetricKind.CHI_SQUARED}
 _ORDERS = {"median": SeedOrder.MEDIAN_FIRST, "antimedian": SeedOrder.ANTIMEDIAN_FIRST}
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; one field per CLI knob."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    metric: str = "euclidean"
-    lam: float | None = None
-    eta: float | None = None
-    mu: float | None = None
-    connectivity: int = 4
-    seed_order: str = "median"
-    outdir: str = "."
-    out: str | None = None
-    algo: str | None = None
-    param_grid: str | None = None
-    labels_path: str | None = None
-    generator: str | None = None
-    width: int = 21
-    height: int = 21
-    bands: int = 4
-    step: float = 10.0
-    teeth: int = 3
-    constant: float = 100.0
-
-
 def _check_nonneg(name: str, value: float | None) -> None:
     if value is not None and (math.isnan(value) or value < 0):
         raise ValueError(f"--{name} must be >= 0, got {value}")
@@ -97,58 +68,35 @@ def _load_cube(paths) -> SpectralCube:
     raise CubeFormatError(f"{paths[0]}: unrecognized input format {head!r}")
 
 
-def _prepare(cfg: RunConfig):
-    """Build what every pass of a run shares, once: flat zones and seed order.
-
-    Returns the flat partition and refine(algo, value), which runs one eta
-    or mu pass on the shared seed ordering; refine is None for flat runs.
-    """
-    cube = _load_cube(cfg.inputs)
-    metric = build_metric(cube, _METRICS[cfg.metric])
-    connectivity = Connectivity(cfg.connectivity)
-    edge_weights = build_edge_weights(metric, connectivity)
-    flat = lambda_flat_zones(cube, LambdaParams(metric, cfg.lam, connectivity),
-                             edge_weights=edge_weights)
-    if cfg.command == "flat":
-        return flat, None
-    order = _ORDERS[cfg.seed_order]
-    ordering = order_classes(flat, metric, order)
-
-    def refine(algo: str, value: float) -> LabelMap:
-        if algo == "eta":
-            return eta_bounded_regions(cube, metric, flat, EtaParams(value, order),
-                                       connectivity, edge_weights=edge_weights,
-                                       ordering=ordering)
-        return mu_geodesic_balls(cube, metric, flat, MuParams(value, order),
-                                 connectivity, edge_weights=edge_weights,
-                                 ordering=ordering)
-
-    return flat, refine
+def _pipeline(args: argparse.Namespace) -> Pipeline:
+    """Load the cube and build the run's pipeline; flat runs have no seed order."""
+    return prepare(_load_cube(args.inputs), _METRICS[args.metric], args.lam,
+                   Connectivity(args.connectivity), _ORDERS.get(args.seed_order))
 
 
-def _segment(cfg: RunConfig):
-    """Run the pass named by cfg.command and return (labels, report).
+def _segment(args: argparse.Namespace):
+    """Run the pass named by args.command and return (labels, report).
 
     The report's millis covers the whole run up to the labels: load, metric
     build, edge weights, flat zones, seed ordering and the pass.
     """
     started = time.perf_counter()
-    flat, refine = _prepare(cfg)
-    if refine is None:
-        labels, param, seed_order = flat, None, None
+    pipeline = _pipeline(args)
+    if args.command == "flat":
+        labels, param = pipeline.flat, None
     else:
-        param = cfg.eta if cfg.command == "eta" else cfg.mu
-        labels, seed_order = refine(cfg.command, param), cfg.seed_order
+        param = getattr(args, args.command)
+        labels = pipeline.refine(args.command, param)
     millis = (time.perf_counter() - started) * 1000.0
     report = SegmentationReport.from_labels(
-        labels, algorithm=cfg.command, metric=cfg.metric, lam=cfg.lam, param=param,
-        connectivity=cfg.connectivity, seed_order=seed_order, millis=millis)
+        labels, algorithm=args.command, metric=args.metric, lam=args.lam, param=param,
+        connectivity=args.connectivity, seed_order=args.seed_order, millis=millis)
     return labels, report
 
 
-def _cmd_segment(cfg: RunConfig) -> int:
-    labels, report = _segment(cfg)
-    outdir = Path(cfg.outdir)
+def _cmd_segment(args: argparse.Namespace) -> int:
+    labels, report = _segment(args)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     label_path = outdir / ("labels.pgm" if labels.count <= 65536 else "labels.hsc")
     fmt = write_labels(labels, label_path)
@@ -180,57 +128,57 @@ def parse_grid(text: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     """One row per grid value; each row's millis is that value's pass alone."""
-    values = parse_grid(cfg.param_grid)
-    _, refine = _prepare(cfg)
-    outdir = Path(cfg.outdir)
+    values = parse_grid(args.param_grid)
+    pipeline = _pipeline(args)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "sweep.csv"
     for value in values:
         started = time.perf_counter()
-        labels = refine(cfg.algo, value)
+        labels = pipeline.refine(args.algo, value)
         millis = (time.perf_counter() - started) * 1000.0
         report = SegmentationReport.from_labels(
-            labels, algorithm=cfg.algo, metric=cfg.metric, lam=cfg.lam, param=value,
-            connectivity=cfg.connectivity, seed_order=cfg.seed_order, millis=millis)
+            labels, algorithm=args.algo, metric=args.metric, lam=args.lam, param=value,
+            connectivity=args.connectivity, seed_order=args.seed_order, millis=millis)
         append_sweep_row(report, csv_path)
-        print(f"{cfg.algo} {value:g}: regions={report.regions}")
+        print(f"{args.algo} {value:g}: regions={report.regions}")
     return EXIT_OK
 
 
-def _cmd_synth(cfg: RunConfig) -> int:
-    spec = ToothSawSpec(width=cfg.width, height=cfg.height, bands=cfg.bands,
-                        step=cfg.step, teeth=cfg.teeth, constant_value=cfg.constant)
+def _cmd_synth(args: argparse.Namespace) -> int:
+    spec = ToothSawSpec(width=args.width, height=args.height, bands=args.bands,
+                        step=args.step, teeth=args.teeth, constant_value=args.constant)
     cube = tooth_saw_cube(spec)
-    write_cube(cube, cfg.out)
-    print(f"wrote {cfg.out} ({cube.width}x{cube.height}x{cube.bands})")
+    write_cube(cube, args.out)
+    print(f"wrote {args.out} ({cube.width}x{cube.height}x{cube.bands})")
     return EXIT_OK
 
 
-def _cmd_stats(cfg: RunConfig) -> int:
-    values = read_label_values(cfg.labels_path)
+def _cmd_stats(args: argparse.Namespace) -> int:
+    values = read_label_values(args.labels_path)
     labels = relabel_dense(values)
     print(f"regions: {labels.count}")
     print("region_sizes: " + " ".join(map(str, region_sizes(labels).tolist())))
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation, mapping errors to distinct exit codes."""
     try:
-        _check_nonneg("lambda", config.lam)
-        _check_nonneg("eta", config.eta)
-        _check_nonneg("mu", config.mu)
-        if config.command == "synth":
-            return _cmd_synth(config)
-        if config.command in ("flat", "eta", "mu"):
-            return _cmd_segment(config)
-        if config.command == "sweep":
-            return _cmd_sweep(config)
-        if config.command == "stats":
-            return _cmd_stats(config)
-        raise ValueError(f"unknown command {config.command!r}")
+        _check_nonneg("lambda", getattr(args, "lam", None))
+        _check_nonneg("eta", getattr(args, "eta", None))
+        _check_nonneg("mu", getattr(args, "mu", None))
+        if args.command == "synth":
+            return _cmd_synth(args)
+        if args.command in ("flat", "eta", "mu"):
+            return _cmd_segment(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        if args.command == "stats":
+            return _cmd_stats(args)
+        raise ValueError(f"unknown command {args.command!r}")
     except DegenerateMarginalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MARGINAL
@@ -263,6 +211,8 @@ def _add_common(parser, *, seeds: bool) -> None:
     if seeds:
         parser.add_argument("--seed-order", dest="seed_order",
                             choices=sorted(_ORDERS), default="median")
+    else:
+        parser.set_defaults(seed_order=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,12 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fields = {f: getattr(args, f) for f in vars(args) if f != "command"}
-    if "inputs" in fields and fields["inputs"] is not None:
-        fields["inputs"] = tuple(fields["inputs"])
-    config = RunConfig(command=args.command, **fields)
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -10,54 +10,31 @@ class into connected, center-bounded pieces.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Connectivity, LabelMap, SpectralCube
+from .grid import LabelMap
 from .growth import refine_classes
-from .metrics import (EdgeWeights, SpectralMetric, _norms, require_same_grid,
-                      resolve_edge_weights)
-from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_ordering
+from .metrics import EdgeWeights, SpectralMetric, _norms
+from .seeds import ClassOrdering
 
 
-@dataclass(frozen=True)
-class EtaParams:
-    """Amplitude bound and seed ordering for one refinement run."""
-
-    eta: float
-    seed_order: SeedOrder = SeedOrder.MEDIAN_FIRST
-
-    def __post_init__(self):
-        if math.isnan(self.eta) or self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-
-
-def eta_bounded_regions(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap,
-                        params: EtaParams,
-                        connectivity: Connectivity = Connectivity.FOUR,
-                        *, edge_weights: EdgeWeights | None = None,
-                        max_region_size: int = DEFAULT_REGION_CAP,
-                        ordering: ClassOrdering | None = None) -> LabelMap:
+def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat: LabelMap,
+                        ordering: ClassOrdering, eta: float) -> LabelMap:
     """Refine a flat-zone partition into eta-bounded regions.
 
     The output refines `flat`; labels follow extraction order (class by
     class, then seed by seed). A seed always accepts itself since its self
     distance is 0 <= eta, so every pixel ends up assigned. `edge_weights`
-    shares the neighbour table with the other passes, and `ordering`, from
-    `order_classes` on the same partition, skips recomputing the seeds.
-    Small classes grow in lockstep (see `growth`); each larger class grows
-    breadth-first from one seed at a time.
+    is the neighbour table of the run, and `ordering`, from `order_classes`
+    on `flat`, gives the seeds. Small classes grow in lockstep (see
+    `growth`); each larger class grows breadth-first from one seed at a time.
     """
-    require_same_grid(cube, metric)
-    edge_weights = resolve_edge_weights(metric, connectivity, edge_weights)
-    ordering = resolve_ordering(flat, metric, params.seed_order, max_region_size, ordering)
-    neighbors, eta = edge_weights.neighbors, params.eta
+    neighbors = edge_weights.neighbors
     # One mask per pass: the growth reads it only on the unassigned (-1)
     # pixels of the current class.
-    accept = np.zeros(cube.pixel_count, dtype=bool)
+    accept = np.zeros(metric.pixel_count, dtype=bool)
 
     def grow_class(pts: np.ndarray, local: np.ndarray) -> None:
         # the class's coordinates and one difference buffer serve every seed
@@ -83,7 +60,7 @@ def eta_bounded_regions(cube: SpectralCube, metric: SpectralMetric, flat: LabelM
 
 
 def _seed_rows(metric: SpectralMetric, pts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """(r, K) distances from seeds[i] to pts[i], bitwise metric.distances_flat's."""
+    """(r, K) distances from seeds[i] to pts[i], bitwise grow_class's per-seed rows."""
     cf = metric.coords_flat
     diff = cf[pts]
     diff -= cf[seeds][:, None]

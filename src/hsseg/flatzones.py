@@ -9,27 +9,10 @@ components of the neighbour-table entries with weight <= lambda.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Connectivity, LabelMap, SpectralCube
-from .metrics import (EdgeWeights, SpectralMetric, require_same_grid,
-                      resolve_edge_weights)
-
-
-@dataclass(frozen=True)
-class LambdaParams:
-    """Zone threshold, adjacency and metric for one flat-zone run."""
-
-    metric: SpectralMetric
-    lam: float
-    connectivity: Connectivity = Connectivity.FOUR
-
-    def __post_init__(self):
-        if math.isnan(self.lam) or self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+from .grid import LabelMap
+from .metrics import EdgeWeights, SpectralMetric
 
 
 def _hook(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -48,36 +31,31 @@ def _hook(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         new = jumped
 
 
-def lambda_flat_zones(cube: SpectralCube, params: LambdaParams,
-                      *, edge_weights: EdgeWeights | None = None) -> LabelMap:
-    """Partition the cube into lambda-flat zones.
+def lambda_flat_zones(metric: SpectralMetric, edge_weights: EdgeWeights,
+                      lam: float) -> LabelMap:
+    """Partition the metric's grid into lambda-flat zones over edge_weights.
 
-    Labels are dense in order of first raster appearance. An EdgeWeights
-    built for the same metric and connectivity can be passed in to share
-    the neighbour table with other passes.
+    Labels are dense in order of first raster appearance. edge_weights,
+    from `build_edge_weights` on this metric, sets the connectivity.
     """
-    metric = params.metric
-    require_same_grid(cube, metric)
-    edge_weights = resolve_edge_weights(metric, params.connectivity, edge_weights)
-
     # Both directions of every edge, so the rounds end when no edge joins two
     # roots. Off-grid entries weigh +inf: a finite bound keeps them out even
     # at lambda = inf.
-    joined = edge_weights.weights <= min(params.lam, np.finfo(np.float64).max)
+    joined = edge_weights.weights <= min(lam, np.finfo(np.float64).max)
     u = np.nonzero(joined)[0]
     v = edge_weights.neighbors[joined]
-    root = np.arange(cube.pixel_count, dtype=np.int32)
+    root = np.arange(metric.pixel_count, dtype=np.int32)
     while len(u):
         hooked = _hook(root, u, v)
         if np.array_equal(hooked, root):
             # a two-way entry always moves the larger of its roots, so every
             # entry left is one-way: i lists j, and j does not list i within lambda
             raise ValueError(f"edge_weights entry {u[0]} -> {v[0]} is one-way at "
-                             f"lambda = {params.lam}")
+                             f"lambda = {lam}")
         root = hooked
         apart = root[u] != root[v]
         u, v = u[apart], v[apart]
     # each zone's root is its smallest raster index
-    first = root == np.arange(cube.pixel_count)
+    first = root == np.arange(metric.pixel_count)
     labels = np.cumsum(first, dtype=np.int32)[root] - 1
-    return LabelMap(labels.reshape(cube.height, cube.width), int(first.sum()))
+    return LabelMap(labels.reshape(metric.height, metric.width), int(first.sum()))

@@ -36,8 +36,8 @@ class SpectralMetric:
     Immutable after build, so it is safe to share between concurrent
     readers. For chi-squared the marginals are folded into `coords` once
     here, since segmentation passes evaluate distances O(K^2) times per
-    region. Every distance is `_norms` of a `coords_flat` difference, so
-    `distances_flat` and `seeds.pair_distances` agree bit for bit.
+    region. Every distance is `_norms` of a `coords_flat` difference, so the
+    edge weights, `seeds.pair_distances` and the eta seed rows agree bit for bit.
     """
 
     __slots__ = ("kind", "width", "height", "bands", "coords")
@@ -55,11 +55,6 @@ class SpectralMetric:
     def coords_flat(self) -> np.ndarray:
         """(pixel_count, bands) view of the coordinate array, raster order."""
         return self.coords.reshape(self.pixel_count, self.bands)
-
-    def distances_flat(self, i: int, pts: np.ndarray) -> np.ndarray:
-        """Distances from flat pixel i to each flat pixel in pts (no bounds checks)."""
-        cf = self.coords_flat
-        return _norms(cf[pts] - cf[i])
 
     def __repr__(self) -> str:
         return f"SpectralMetric({self.kind.value}, {self.width}x{self.height}x{self.bands})"
@@ -96,15 +91,6 @@ def build_metric(cube: SpectralCube, kind: MetricKind) -> SpectralMetric:
     coords = (data / pixel_sums[:, :, None]) * np.sqrt(total / band_sums)
     coords.flags.writeable = False
     return SpectralMetric(kind, coords)
-
-
-def require_same_grid(cube: SpectralCube, metric: SpectralMetric) -> None:
-    """Reject metrics built for a different grid than the cube at hand."""
-    if (cube.width, cube.height, cube.bands) != (metric.width, metric.height, metric.bands):
-        raise ValueError(
-            f"metric was built for a {metric.width}x{metric.height}x{metric.bands} cube, "
-            f"got {cube.width}x{cube.height}x{cube.bands}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +137,3 @@ def build_edge_weights(metric: SpectralMetric,
     # frozen, so a shared table keeps the symmetry every pass relies on
     neighbors.flags.writeable = weights.flags.writeable = False
     return EdgeWeights(connectivity, neighbors, weights)
-
-
-def resolve_edge_weights(metric: SpectralMetric, connectivity: Connectivity,
-                         edge_weights: EdgeWeights | None) -> EdgeWeights:
-    """The given table, checked against the connectivity and the grid, or a fresh one."""
-    if edge_weights is None:
-        return build_edge_weights(metric, connectivity)
-    if (edge_weights.connectivity is not connectivity
-            or len(edge_weights.neighbors) != metric.pixel_count):
-        raise ValueError("edge_weights do not match the connectivity or the grid")
-    return edge_weights

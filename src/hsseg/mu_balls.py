@@ -12,28 +12,14 @@ earlier balls. Geodesic reachability makes every ball connected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 
-from .grid import Connectivity, LabelMap, SpectralCube
+from .grid import LabelMap
 from .growth import refine_classes
-from .metrics import (EdgeWeights, SpectralMetric, require_same_grid,
-                      resolve_edge_weights)
-from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, resolve_ordering
-
-
-@dataclass(frozen=True)
-class MuParams:
-    """Geodesic radius and seed ordering for one refinement run."""
-
-    mu: float
-    seed_order: SeedOrder = SeedOrder.MEDIAN_FIRST
-
-    def __post_init__(self):
-        if math.isnan(self.mu) or self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+from .metrics import EdgeWeights
+from .seeds import ClassOrdering
 
 
 def _dijkstra_ball(edge_weights: EdgeWeights, in_domain: np.ndarray,
@@ -64,26 +50,19 @@ def _dijkstra_ball(edge_weights: EdgeWeights, in_domain: np.ndarray,
     return settled
 
 
-def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap,
-                      params: MuParams,
-                      connectivity: Connectivity = Connectivity.FOUR,
-                      *, edge_weights: EdgeWeights | None = None,
-                      max_region_size: int = DEFAULT_REGION_CAP,
-                      ordering: ClassOrdering | None = None) -> LabelMap:
+def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: ClassOrdering,
+                      mu: float) -> LabelMap:
     """Refine a flat-zone partition into geodesic balls of radius mu.
 
     The output refines `flat`; labels follow extraction order. The seed is
     always reachable at distance 0, so every class is fully covered.
-    `ordering`, from `order_classes` on the same partition, skips
-    recomputing the seeds. Small classes grow in lockstep (see `growth`);
-    each larger class runs one `_dijkstra_ball` per seed.
+    `edge_weights` is the neighbour table of the run, and `ordering`, from
+    `order_classes` on `flat`, gives the seeds. Small classes grow in
+    lockstep (see `growth`); each larger class runs one `_dijkstra_ball` per seed.
     """
-    require_same_grid(cube, metric)
-    edge_weights = resolve_edge_weights(metric, connectivity, edge_weights)
-    ordering = resolve_ordering(flat, metric, params.seed_order, max_region_size, ordering)
     # The Dijkstra domain: unassigned pixels of the current class. A finished
     # class has none left, so the mask never needs clearing.
-    free = np.zeros(cube.pixel_count, dtype=bool)
+    free = np.zeros(flat.labels.size, dtype=bool)
 
     def grow_class(pts: np.ndarray, local: np.ndarray) -> None:
         free[pts] = True
@@ -91,9 +70,9 @@ def mu_geodesic_balls(cube: SpectralCube, metric: SpectralMetric, flat: LabelMap
         for seed in pts.tolist():
             if not free[seed]:
                 continue
-            ball = list(_dijkstra_ball(edge_weights, free, seed, params.mu))
+            ball = list(_dijkstra_ball(edge_weights, free, seed, mu))
             local[ball] = step
             free[ball] = False
             step += 1
 
-    return refine_classes(flat, ordering, edge_weights, grow_class, radius=params.mu)
+    return refine_classes(flat, ordering, edge_weights, grow_class, radius=mu)

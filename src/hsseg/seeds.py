@@ -133,7 +133,6 @@ class ClassOrdering:
     instance serves both passes and every parameter value.
     """
 
-    order: SeedOrder
     pixels: np.ndarray
     offsets: np.ndarray
 
@@ -153,23 +152,4 @@ def order_classes(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
     pixels = np.lexsort((keys, lab))
     offsets = np.zeros(flat.count + 1, dtype=np.intp)
     np.cumsum(np.bincount(lab, minlength=flat.count), out=offsets[1:])
-    return ClassOrdering(order, pixels, offsets)
-
-
-def resolve_ordering(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
-                     max_region_size: int, ordering: ClassOrdering | None) -> ClassOrdering:
-    """The given ordering, checked against flat and order, or a fresh one.
-
-    A given ordering was checked against its own cap when it was built.
-    """
-    if flat.labels.shape != (metric.height, metric.width):
-        raise ValueError("flat partition does not match the metric's grid")
-    if ordering is None:
-        return order_classes(flat, metric, order, max_region_size)
-    if ordering.order is not order:
-        raise ValueError(
-            f"ordering is {ordering.order.value}-first, params ask for {order.value}-first"
-        )
-    if len(ordering.offsets) != flat.count + 1 or len(ordering.pixels) != flat.labels.size:
-        raise ValueError("ordering does not match the flat partition")
-    return ordering
+    return ClassOrdering(pixels, offsets)

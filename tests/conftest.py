@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hsseg import (LabelMap, MetricKind, SeedOrder, SpectralCube, build_metric,
-                   order_classes)
+from hsseg import (Connectivity, LabelMap, MetricKind, SeedOrder, SpectralCube,
+                   build_metric, order_classes, prepare)
+from hsseg.metrics import _norms
 from hsseg.seeds import DEFAULT_REGION_CAP, class_orderings
 
 from oracles import PixelIndex
@@ -61,10 +62,25 @@ def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST,
     return key, [PixelIndex(i % w, i // w) for i in first.tolist()]
 
 
+def distance_row(metric, i, pts):
+    """Distances from flat pixel i to each flat pixel in pts.
+
+    A `_norms` row of `coords_flat` differences: the one formula every
+    distance of the library is computed with.
+    """
+    cf = metric.coords_flat
+    return _norms(cf[pts] - cf[i])
+
+
 def library_distance(metric, p, q):
     """The library's distance between pixels p and q, given as (x, y)."""
     w = metric.width
-    return float(metric.distances_flat(p[1] * w + p[0], np.array([q[1] * w + q[0]]))[0])
+    return float(distance_row(metric, p[1] * w + p[0], np.array([q[1] * w + q[0]]))[0])
+
+
+def flat_zones(cube, lam, conn=Connectivity.FOUR, kind=MetricKind.EUCLIDEAN):
+    """The lambda-flat zones of cube, built by `prepare`."""
+    return prepare(cube, kind, lam, conn, None).flat
 
 
 def metric_for(cube, kind):

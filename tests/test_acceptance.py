@@ -12,14 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind,
-                   MuParams, SeedOrder, SpectralCube, build_edge_weights,
-                   build_metric, eta_bounded_regions, lambda_flat_zones,
-                   mu_geodesic_balls, read_cube, read_graymap_stack,
-                   read_labels, relabel_dense, tooth_saw_cube, write_cube,
-                   write_labels)
+from hsseg import (Connectivity, MetricKind, SeedOrder, SpectralCube, build_metric,
+                   prepare, read_cube, read_graymap_stack, read_labels,
+                   relabel_dense, tooth_saw_cube, write_cube, write_labels)
 
-from conftest import library_distance, random_cube, region_seeds
+from conftest import flat_zones, library_distance, random_cube, region_seeds
 from oracles import (PixelIndex, classes_are_connected, eta_regions_bruteforce,
                      flat_zones_unionfind, is_refinement, mu_balls_bruteforce,
                      naive_cumdists)
@@ -45,9 +42,7 @@ def _connectivity(trial):
 
 @pytest.fixture(scope="module")
 def tooth():
-    cube = tooth_saw_cube()
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    return cube, metric
+    return tooth_saw_cube()
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +56,7 @@ def flat_batch():
         kind = _metric_kind(trial)
         conn = _connectivity(trial)
         lam = float(rng.uniform(0.0, 1.2))
-        metric = build_metric(cube, kind)
-        got = lambda_flat_zones(cube, LambdaParams(metric, lam, conn))
+        got = flat_zones(cube, lam, conn, kind)
         expected = flat_zones_unionfind(cube, kind, lam, conn)
         trials.append({
             "equal": np.array_equal(got.labels, expected.labels),
@@ -86,11 +80,11 @@ def refine_batch():
         lam = float(rng.uniform(0.0, 1.2))
         eta = float(rng.uniform(0.0, 1.0))
         mu = float(rng.uniform(0.0, 2.0))
-        metric = build_metric(cube, kind)
-        flat = lambda_flat_zones(cube, LambdaParams(metric, lam, conn))
-        eta_got = eta_bounded_regions(cube, metric, flat, EtaParams(eta, order), conn)
+        pipeline = prepare(cube, kind, lam, conn, order)
+        metric, flat = pipeline.metric, pipeline.flat
+        eta_got = pipeline.refine("eta", eta)
         eta_exp, _ = eta_regions_bruteforce(cube, kind, flat, eta, antimedian, conn)
-        mu_got = mu_geodesic_balls(cube, metric, flat, MuParams(mu, order), conn)
+        mu_got = pipeline.refine("mu", mu)
         mu_exp, balls = mu_balls_bruteforce(cube, kind, flat, mu, antimedian, conn)
         trials.append({
             "metric": metric, "conn": conn, "mu": mu,
@@ -108,9 +102,8 @@ def refine_batch():
 def test_criterion_1_tooth_saw_regression():
     started = time.perf_counter()
     cube = tooth_saw_cube()
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    zones_99 = lambda_flat_zones(cube, LambdaParams(metric, 9.9)).count
-    zones_10 = lambda_flat_zones(cube, LambdaParams(metric, 10.0)).count
+    zones_99 = flat_zones(cube, 9.9).count
+    zones_10 = flat_zones(cube, 10.0).count
     elapsed = time.perf_counter() - started
     report(1, zones_99 == 21 and zones_10 == 1 and elapsed < 1.0,
            f"lambda=9.9 -> {zones_99} zones, lambda=10 -> {zones_10} zone(s), "
@@ -154,9 +147,8 @@ def _partition_of_class_ok(flat, refined):
 
 def test_criterion_4_partition_invariants(tooth, flat_batch, refine_batch):
     violations = 0
-    cube, metric = tooth
     for lam in (9.9, 10.0):
-        flat = lambda_flat_zones(cube, LambdaParams(metric, lam))
+        flat = flat_zones(tooth, lam)
         violations += not classes_are_connected(flat, Connectivity.FOUR)
     for t in flat_batch["trials"]:
         violations += not classes_are_connected(t["labels"], t["conn"])
@@ -207,40 +199,33 @@ def test_criterion_5_metric_axioms():
            f"{failures} failures, worst deviation {worst:.2e} <= 1e-9")
 
 
-def _sweep_counts(cube, metric, flat, values, algo, conn=Connectivity.FOUR):
+def _sweep_counts(cube, pipeline, values, algo):
     counts = []
     oracle_ok = True
+    kind, flat = pipeline.metric.kind, pipeline.flat
+    oracle = eta_regions_bruteforce if algo == "eta" else mu_balls_bruteforce
     for value in values:
-        if algo == "eta":
-            got = eta_bounded_regions(cube, metric, flat, EtaParams(value), conn)
-            exp, _ = eta_regions_bruteforce(cube, metric.kind, flat, value,
-                                            connectivity=conn)
-        else:
-            got = mu_geodesic_balls(cube, metric, flat, MuParams(value), conn)
-            exp, _ = mu_balls_bruteforce(cube, metric.kind, flat, value,
-                                         connectivity=conn)
+        got = pipeline.refine(algo, value)
+        exp, _ = oracle(cube, kind, flat, value)
         oracle_ok &= np.array_equal(got.labels, exp.labels)
         counts.append(got.count)
     return counts, oracle_ok
 
 
 def test_criterion_6_region_count_trend(tooth):
-    cube, metric = tooth
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
+    pipeline = prepare(tooth, MetricKind.EUCLIDEAN, 10.0, Connectivity.FOUR,
+                       SeedOrder.MEDIAN_FIRST)
     values = [float(v) for v in range(0, 101, 10)]
 
-    eta_counts, eta_oracle_ok = _sweep_counts(cube, metric, flat, values, "eta")
-    mu_counts, mu_oracle_ok = _sweep_counts(cube, metric, flat, values, "mu")
+    eta_counts, eta_oracle_ok = _sweep_counts(tooth, pipeline, values, "eta")
+    mu_counts, mu_oracle_ok = _sweep_counts(tooth, pipeline, values, "mu")
     eta_mono = all(a >= b for a, b in zip(eta_counts, eta_counts[1:]))
     mu_mono = all(a >= b for a, b in zip(mu_counts, mu_counts[1:]))
 
     # forced terminal values: collapse to one region is guaranteed once the
     # parameter dominates any amplitude (eta) or any path weight (mu)
-    ew = build_edge_weights(metric, Connectivity.FOUR)
-    eta_terminal = eta_bounded_regions(cube, metric, flat,
-                                       EtaParams(values[-1])).count
-    mu_forced = mu_geodesic_balls(cube, metric, flat,
-                                  MuParams(ew.total_weight())).count
+    eta_terminal = pipeline.refine("eta", values[-1]).count
+    mu_forced = pipeline.refine("mu", pipeline.edge_weights.total_weight()).count
 
     ok = (eta_oracle_ok and mu_oracle_ok and eta_mono and mu_mono
           and eta_terminal == 1 and mu_forced == 1)
@@ -265,18 +250,12 @@ def _report_real_image_trend(path):
         cube = read_graymap_stack(files)
     else:
         cube = read_cube(path)
-    metric = build_metric(cube, MetricKind.CHI_SQUARED)
     lam = float(os.environ.get("HSSEG_REAL_LAMBDA", "0.005"))
-    flat = lambda_flat_zones(cube, LambdaParams(metric, lam))
+    pipeline = prepare(cube, MetricKind.CHI_SQUARED, lam, Connectivity.FOUR,
+                       SeedOrder.MEDIAN_FIRST)
     for algo, values in (("eta", (0.007, 0.009, 0.011, 0.02)),
                          ("mu", (0.01, 0.02, 0.03, 0.05))):
-        counts = []
-        for v in values:
-            if algo == "eta":
-                out = eta_bounded_regions(cube, metric, flat, EtaParams(v))
-            else:
-                out = mu_geodesic_balls(cube, metric, flat, MuParams(v))
-            counts.append(out.count - flat.count)
+        counts = [pipeline.refine(algo, v).count - pipeline.flat.count for v in values]
         print(f"criterion 6: real image {algo} counts minus flat zones: "
               f"{dict(zip(values, counts))}")
 

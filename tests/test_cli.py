@@ -95,17 +95,13 @@ def test_same_config_twice_is_identical(saw_file, tmp_path):
 
 
 def test_cli_is_a_thin_shell_over_the_library(saw_file, tmp_path):
-    from hsseg import (Connectivity, EtaParams, LambdaParams, MetricKind,
-                       build_metric, eta_bounded_regions, lambda_flat_zones,
-                       write_labels)
+    from hsseg import Connectivity, MetricKind, SeedOrder, prepare, write_labels
 
     out = tmp_path / "cli"
     run_cli("eta", "--input", saw_file, "--lambda", 10, "--eta", 20,
             "--outdir", out)
-    cube = read_cube(saw_file)
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0, Connectivity.FOUR))
-    labels = eta_bounded_regions(cube, metric, flat, EtaParams(20.0))
+    labels = prepare(read_cube(saw_file), MetricKind.EUCLIDEAN, 10.0, Connectivity.FOUR,
+                     SeedOrder.MEDIAN_FIRST).refine("eta", 20.0)
     direct = tmp_path / "direct.pgm"
     write_labels(labels, direct)
     assert direct.read_bytes() == (out / "labels.pgm").read_bytes()
@@ -239,6 +235,12 @@ def test_toothsaw_sweeps_script():
     # the frozen curve of test_mu_balls.py::test_sweep_counts_regression
     assert [int(r[2]) for r in rows] == [21, 10, 7, 4, 3, 3, 3, 3, 2, 2, 2]
     assert lines[-1].endswith(": 1 region(s)")
+    # a grid that never reaches its stop is rejected before any work
+    proc = subprocess.run([sys.executable, str(script), "--step", "0"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    assert "grid step must be positive, got 0.0" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_does_not_import_scipy():
@@ -259,11 +261,12 @@ def test_cli_runs_do_not_import_numpy_ma(tmp_path):
     rng = np.random.default_rng(0)
     hsseg.write_cube(hsseg.SpectralCube(rng.integers(0, 3, size=(6, 7, 2)).astype(float)), cube)
     env = dict(os.environ, PYTHONPATH=str(Path(hsseg.__file__).parents[1]))
-    for command in ("eta", "mu"):
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "hsseg", command, "--input", str(cube),
-             "--lambda", "1", f"--{command}", "1", "--outdir", str(tmp_path / command)],
-            capture_output=True, text=True, env=env)
+    runs = [[command, "--input", str(cube), "--lambda", "1", f"--{command}", "1",
+             "--outdir", str(tmp_path / command)] for command in ("eta", "mu")]
+    runs.append(["stats", str(tmp_path / "eta" / "labels.pgm")])
+    for args in runs:
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hsseg", *args],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}
@@ -354,6 +357,11 @@ def test_sweep_orders_seeds_once(saw_file, tmp_path, monkeypatch):
                            "--lambda", 10, "--param", grid,
                            "--outdir", tmp_path / algo / grid.replace(":", "_")) == 0
             assert len(calls) == 1
+    # a flat-zone run orders no seeds at all
+    calls.clear()
+    assert run_cli("flat", "--input", saw_file, "--lambda", 10,
+                   "--outdir", tmp_path / "flat") == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", [("eta", "--eta", 1), ("mu", "--mu", 1),

@@ -3,46 +3,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (Connectivity, EtaParams, LabelMap, LambdaParams, MetricKind,
-                   SeedOrder, SpectralCube, build_metric, eta_bounded_regions,
-                   lambda_flat_zones, relabel_dense)
+from hsseg import (Connectivity, LabelMap, MetricKind, Pipeline, SeedOrder, SpectralCube,
+                   build_edge_weights, build_metric, prepare, relabel_dense)
 from hsseg import eta_regions, growth, seeds
 
-from conftest import cubes
+from conftest import cubes, distance_row
 from oracles import classes_are_connected, eta_regions_bruteforce, is_refinement
 
 
-def _flat_for(cube, lam, conn=Connectivity.FOUR):
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    return metric, lambda_flat_zones(cube, LambdaParams(metric, lam, conn))
+def _pipeline(cube, lam, conn=Connectivity.FOUR, order=SeedOrder.MEDIAN_FIRST):
+    return prepare(cube, MetricKind.EUCLIDEAN, lam, conn, order)
 
 
 def test_large_eta_reproduces_flat_zones(tooth_setup):
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 9.9))
-    out = eta_bounded_regions(cube, metric, flat, EtaParams(1e18))
-    assert np.array_equal(out.labels, flat.labels)
+    pipeline = _pipeline(tooth_setup[0], 9.9)
+    out = pipeline.refine("eta", 1e18)
+    assert np.array_equal(out.labels, pipeline.flat.labels)
 
 
 def test_tooth_saw_eta_zero_matches_oracle(tooth_setup):
     cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    got = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
+    pipeline = _pipeline(cube, 10.0)
+    flat = pipeline.flat
+    got = pipeline.refine("eta", 0.0)
     expected, regions = eta_regions_bruteforce(cube, MetricKind.EUCLIDEAN, flat, 0.0)
     assert np.array_equal(got.labels, expected.labels)
     # identical spectra only: every region is one full-height column
     assert got.count == 21
     for seed, members in regions:
         pts = np.array([p.y * cube.width + p.x for p in members])
-        assert (metric.distances_flat(seed.y * cube.width + seed.x, pts) == 0.0).all()
+        assert (distance_row(metric, seed.y * cube.width + seed.x, pts) == 0.0).all()
 
 
 @pytest.mark.parametrize("eta", [10.0, 20.0, 30.0])
 def test_tooth_saw_banding_matches_oracle(tooth_setup, eta):
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    got = eta_bounded_regions(cube, metric, flat, EtaParams(eta))
-    expected, _ = eta_regions_bruteforce(cube, MetricKind.EUCLIDEAN, flat, eta)
+    cube, _ = tooth_setup
+    pipeline = _pipeline(cube, 10.0)
+    got = pipeline.refine("eta", eta)
+    expected, _ = eta_regions_bruteforce(cube, MetricKind.EUCLIDEAN, pipeline.flat, eta)
     assert np.array_equal(got.labels, expected.labels)
 
 
@@ -50,9 +48,10 @@ def test_tooth_saw_banding_matches_oracle(tooth_setup, eta):
        st.sampled_from(list(Connectivity)), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_matches_bruteforce_oracle(cube, lam, eta, conn, antimedian):
-    metric, flat = _flat_for(cube, lam, conn)
     order = SeedOrder.ANTIMEDIAN_FIRST if antimedian else SeedOrder.MEDIAN_FIRST
-    got = eta_bounded_regions(cube, metric, flat, EtaParams(eta, order), conn)
+    pipeline = _pipeline(cube, lam, conn, order)
+    metric, flat = pipeline.metric, pipeline.flat
+    got = pipeline.refine("eta", eta)
     expected, regions = eta_regions_bruteforce(cube, MetricKind.EUCLIDEAN, flat, eta,
                                                antimedian, conn)
     assert np.array_equal(got.labels, expected.labels)
@@ -61,14 +60,15 @@ def test_matches_bruteforce_oracle(cube, lam, eta, conn, antimedian):
     assert classes_are_connected(got, conn)
     for seed, members in regions:
         pts = np.array([p.y * cube.width + p.x for p in members])
-        assert (metric.distances_flat(seed.y * cube.width + seed.x, pts) <= eta).all()
+        assert (distance_row(metric, seed.y * cube.width + seed.x, pts) <= eta).all()
 
 
 @given(cubes(max_side=5), st.floats(0.0, 1.5))
 @settings(max_examples=40, deadline=None)
 def test_coverage_and_disjointness_per_class(cube, eta):
-    metric, flat = _flat_for(cube, 0.4)
-    out = eta_bounded_regions(cube, metric, flat, EtaParams(eta))
+    pipeline = _pipeline(cube, 0.4)
+    flat = pipeline.flat
+    out = pipeline.refine("eta", eta)
     # total assignment: LabelMap construction already forbids gaps; check
     # region-to-class containment per flat class
     for c in range(flat.count):
@@ -79,44 +79,38 @@ def test_coverage_and_disjointness_per_class(cube, eta):
 
 
 def test_deterministic(tooth_setup):
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    a = eta_bounded_regions(cube, metric, flat, EtaParams(20.0))
-    b = eta_bounded_regions(cube, metric, flat, EtaParams(20.0))
+    pipeline = _pipeline(tooth_setup[0], 10.0)
+    a = pipeline.refine("eta", 20.0)
+    b = pipeline.refine("eta", 20.0)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_eta_terminal_count_equals_flat_zone_count(tooth_setup):
-    cube, metric = tooth_setup
     for lam in (9.9, 10.0):
-        flat = lambda_flat_zones(cube, LambdaParams(metric, lam))
-        out = eta_bounded_regions(cube, metric, flat, EtaParams(100.0))
-        assert out.count == flat.count
+        pipeline = _pipeline(tooth_setup[0], lam)
+        out = pipeline.refine("eta", 100.0)
+        assert out.count == pipeline.flat.count
 
 
 def test_sweep_counts_regression(tooth_setup):
     # frozen from oracle-verified runs on the default saw (amplitude 70)
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    counts = [eta_bounded_regions(cube, metric, flat, EtaParams(float(v))).count
-              for v in range(0, 101, 10)]
+    pipeline = _pipeline(tooth_setup[0], 10.0)
+    counts = [pipeline.refine("eta", float(v)).count for v in range(0, 101, 10)]
     assert counts == [21, 9, 7, 3, 1, 1, 1, 1, 1, 1, 1]
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        EtaParams(-0.5)
-    with pytest.raises(ValueError):
-        EtaParams(float("nan"))
-
-
-def test_flat_partition_must_match_grid(tooth_setup):
-    from hsseg import LabelMap
-
-    cube, metric = tooth_setup
-    wrong = LabelMap(np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError):
-        eta_bounded_regions(cube, metric, wrong, EtaParams(1.0))
+def test_params_validation(tooth_setup):
+    pipeline = _pipeline(tooth_setup[0], 10.0)
+    with pytest.raises(ValueError, match="eta must be >= 0"):
+        pipeline.refine("eta", -0.5)
+    with pytest.raises(ValueError, match="eta must be >= 0"):
+        pipeline.refine("eta", float("nan"))
+    with pytest.raises(ValueError, match="unknown refinement 'flat'"):
+        pipeline.refine("flat", 1.0)
+    # a pipeline built without a seed order has flat zones and no refinement
+    flat_only = prepare(tooth_setup[0], MetricKind.EUCLIDEAN, 10.0, Connectivity.FOUR, None)
+    with pytest.raises(ValueError, match="needs a seed order"):
+        flat_only.refine("eta", 1.0)
 
 
 def test_singleton_classes_skip_distances(monkeypatch):
@@ -133,19 +127,24 @@ def test_singleton_classes_skip_distances(monkeypatch):
     rng = np.random.default_rng(2)
     cube = SpectralCube(rng.uniform(0, 1, size=(3, 4, 2)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    edge_weights = build_edge_weights(metric)
+
+    def eta_zero(flat):
+        # a new pipeline, so its ordering is built afresh
+        return Pipeline(metric, edge_weights, flat, SeedOrder.MEDIAN_FIRST).refine("eta", 0.0)
+
     flat = LabelMap(np.arange(12).reshape(3, 4))
-    out = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
+    out = eta_zero(flat)
     assert calls == []
     assert np.array_equal(out.labels, flat.labels)
     # the spies see a class of two pixels: one block in the ordering, then one
     # seed row and one lockstep growth per region of the pass
     flat = relabel_dense(np.array([[0, 0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10]]))
-    out = eta_bounded_regions(cube, metric, flat, EtaParams(0.0))
+    out = eta_zero(flat)
     assert calls == ["pair_distances", "_norms"] + ["_norms", "_grow"] * 2
     assert out.count == 12
     # above the gate the class takes one seed row per region and no growth
     monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
     calls.clear()
-    assert np.array_equal(eta_bounded_regions(cube, metric, flat, EtaParams(0.0)).labels,
-                          out.labels)
+    assert np.array_equal(eta_zero(flat).labels, out.labels)
     assert calls == ["pair_distances", "_norms"] + ["_norms"] * 2

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsseg import (Connectivity, EtaParams, LabelMap, MetricKind, MuParams, SeedOrder,
-                   SpectralCube, build_edge_weights, build_metric, eta_bounded_regions,
-                   mu_geodesic_balls, order_classes)
+from hsseg import (Connectivity, LabelMap, MetricKind, Pipeline, SeedOrder, SpectralCube,
+                   build_edge_weights, build_metric)
 from hsseg import eta_regions, growth
 
+from conftest import distance_row
 from oracles import eta_regions_bruteforce, mu_balls_bruteforce
 
 GATE = growth._LOCKSTEP_MAX_PIXELS
@@ -33,19 +33,14 @@ def _snake_partition(k):
     return LabelMap(labels)
 
 
-def _run_both(cube, metric, flat, conn, order, monkeypatch):
+def _run_both(metric, flat, conn, order, monkeypatch):
     """eta and mu labels at every value of ETAS and MUS, in lockstep and per seed."""
-    ew = build_edge_weights(metric, conn)
-    ordering = order_classes(flat, metric, order)
+    pipeline = Pipeline(metric, build_edge_weights(metric, conn), flat, order)
     runs = []
     for gate in (GATE, 1):
         monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", gate)
-        runs.append([eta_bounded_regions(cube, metric, flat, EtaParams(v, order), conn,
-                                         edge_weights=ew, ordering=ordering).labels
-                     for v in ETAS] +
-                    [mu_geodesic_balls(cube, metric, flat, MuParams(v, order), conn,
-                                       edge_weights=ew, ordering=ordering).labels
-                     for v in MUS])
+        runs.append([pipeline.refine("eta", v).labels for v in ETAS] +
+                    [pipeline.refine("mu", v).labels for v in MUS])
     return runs
 
 
@@ -60,7 +55,7 @@ def test_lockstep_matches_oracles_and_per_seed_path(k, conn, monkeypatch):
     for kind in MetricKind:
         metric = build_metric(cube, kind)
         for order in SeedOrder:
-            lockstep, per_seed = _run_both(cube, metric, flat, conn, order, monkeypatch)
+            lockstep, per_seed = _run_both(metric, flat, conn, order, monkeypatch)
             anti = order is SeedOrder.ANTIMEDIAN_FIRST
             expected = [eta_regions_bruteforce(cube, kind, flat, v, anti, conn)[0].labels
                         for v in ETAS]
@@ -80,21 +75,20 @@ def test_eta_seed_rows_keep_their_bits(bands, monkeypatch):
     flat = LabelMap(np.tile(np.arange(12), (k, 1)))
     for kind in MetricKind:
         metric = build_metric(cube, kind)
+        pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
         pts = np.arange(k * 12).reshape(k, 12).T
         seeds = rng.integers(0, k, size=12)
         rows = eta_regions._seed_rows(metric, pts, pts[np.arange(12), seeds])
-        coords = metric.coords_flat
         for i, (row, seed) in enumerate(zip(rows, seeds)):
-            per_seed = np.subtract(coords[pts[i]], coords[pts[i, seed]])
-            assert row.tobytes() == eta_regions._norms(per_seed).tobytes()
-            assert row.tobytes() == metric.distances_flat(pts[i, seed], pts[i]).tobytes()
+            # the per-seed row of a class above the lockstep gate
+            assert row.tobytes() == distance_row(metric, pts[i, seed], pts[i]).tobytes()
         # at an eta equal to a distance the comparison is a tie, so a row one
         # ulp off would move a pixel
         for eta in np.sort(rows.ravel())[::29]:
             labels = []
             for gate in (GATE, 1):
                 monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", gate)
-                labels.append(eta_bounded_regions(cube, metric, flat, EtaParams(eta)).labels)
+                labels.append(pipeline.refine("eta", eta).labels)
             assert np.array_equal(*labels)
 
 
@@ -105,15 +99,12 @@ def test_lockstep_batches_keep_a_bounded_peak():
     cube = SpectralCube(rng.uniform(0.1, 1.0, size=(GATE, 1000, 64)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     flat = LabelMap(np.tile(np.arange(1000), (GATE, 1)))
-    edge_weights = build_edge_weights(metric)
-    ordering = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
-    for run in (lambda: eta_bounded_regions(cube, metric, flat, EtaParams(1e18),
-                                            edge_weights=edge_weights, ordering=ordering),
-                lambda: mu_geodesic_balls(cube, metric, flat, MuParams(1e18),
-                                          edge_weights=edge_weights, ordering=ordering)):
+    pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
+    pipeline.ordering  # built before the peak is traced
+    for algo in ("eta", "mu"):
         tracemalloc.start()
         try:
-            out = run()
+            out = pipeline.refine(algo, 1e18)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

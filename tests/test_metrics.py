@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hsseg import (Connectivity, DegenerateMarginalError, MetricKind,
                    SpectralCube, build_edge_weights, build_metric)
 
-from conftest import cubes, library_distance, positive_cubes
+from conftest import cubes, distance_row, library_distance, positive_cubes
 from oracles import _OFFSETS, coordinates, distance, neighbors
 
 
@@ -101,7 +101,7 @@ def test_chi_squared_equals_scaled_profile_rederivation(cube):
     pts = np.arange(w * h)
     for y in range(h):
         for x in range(w):
-            row = m.distances_flat(y * w + x, pts)
+            row = distance_row(m, y * w + x, pts)
             for y2 in range(h):
                 for x2 in range(w):
                     prof_a = data[y, x] / data[y, x].sum()
@@ -117,7 +117,7 @@ def test_vectorized_distances_match_scalar_exactly(cube, data):
     coords = coordinates(cube, MetricKind.EUCLIDEAN)
     pix = _pixels_of(cube)
     x, y = p = data.draw(st.sampled_from(pix))
-    vec = m.distances_flat(y * cube.width + x, np.arange(m.pixel_count))
+    vec = distance_row(m, y * cube.width + x, np.arange(m.pixel_count))
     for k, q in enumerate(pix):
         assert vec[k] == distance(coords, p, q)
 
@@ -161,7 +161,7 @@ def test_edge_weights_keep_bits_with_many_bands():
             for i, row in enumerate(ew.neighbors.tolist()):
                 pts = np.array([j for j in row if j >= 0])
                 assert ew.weights[i][ew.neighbors[i] >= 0].tobytes() == \
-                    m.distances_flat(i, pts).tobytes()
+                    distance_row(m, i, pts).tobytes()
 
 
 def test_edge_weight_bounds_on_known_cube():

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (Connectivity, LabelMap, LambdaParams, MetricKind, MuParams,
-                   SeedOrder, SpectralCube, build_edge_weights, build_metric,
-                   lambda_flat_zones, mu_geodesic_balls)
+from hsseg import (Connectivity, LabelMap, MetricKind, Pipeline, SeedOrder, SpectralCube,
+                   build_edge_weights, build_metric, prepare)
 from hsseg import growth, mu_balls
 
-from conftest import cubes
+from conftest import cubes, distance_row
 from oracles import (PixelIndex, bellman_ford, classes_are_connected,
                      is_refinement, mu_balls_bruteforce)
 
@@ -68,7 +67,7 @@ def test_distances_match_bellman_ford(cube, mu, conn, data):
     full = bellman_ford(cube, MetricKind.EUCLIDEAN, domain, seed, conn)
     expected = {p: d for p, d in full.items() if d <= mu}
     assert set(got) == set(expected)
-    direct = m.distances_flat(seed.y * cube.width + seed.x, np.arange(m.pixel_count))
+    direct = distance_row(m, seed.y * cube.width + seed.x, np.arange(m.pixel_count))
     for p in got:
         assert got[p] == pytest.approx(expected[p], abs=1e-9)
         # path weight dominates the direct metric distance
@@ -85,17 +84,16 @@ def test_ball_nesting(cube, mu_small, extra):
     assert set(small) <= set(large)
 
 
-def _flat_for(cube, lam, conn=Connectivity.FOUR):
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    return metric, lambda_flat_zones(cube, LambdaParams(metric, lam, conn))
+def _pipeline(cube, lam, conn=Connectivity.FOUR, order=SeedOrder.MEDIAN_FIRST):
+    return prepare(cube, MetricKind.EUCLIDEAN, lam, conn, order)
 
 
 @pytest.mark.parametrize("mu", [0.0, 20.0, 40.0, 100.0])
 def test_tooth_saw_matches_oracle(tooth_setup, mu):
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    got = mu_geodesic_balls(cube, metric, flat, MuParams(mu))
-    expected, _ = mu_balls_bruteforce(cube, MetricKind.EUCLIDEAN, flat, mu)
+    cube, _ = tooth_setup
+    pipeline = _pipeline(cube, 10.0)
+    got = pipeline.refine("mu", mu)
+    expected, _ = mu_balls_bruteforce(cube, MetricKind.EUCLIDEAN, pipeline.flat, mu)
     assert np.array_equal(got.labels, expected.labels)
 
 
@@ -114,9 +112,10 @@ def test_tooth_saw_profile_peak_behavior(tooth_setup):
        st.sampled_from(list(Connectivity)), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_matches_bruteforce_oracle(cube, lam, mu, conn, antimedian):
-    metric, flat = _flat_for(cube, lam, conn)
     order = SeedOrder.ANTIMEDIAN_FIRST if antimedian else SeedOrder.MEDIAN_FIRST
-    got = mu_geodesic_balls(cube, metric, flat, MuParams(mu, order), conn)
+    pipeline = _pipeline(cube, lam, conn, order)
+    metric, flat = pipeline.metric, pipeline.flat
+    got = pipeline.refine("mu", mu)
     expected, balls = mu_balls_bruteforce(cube, MetricKind.EUCLIDEAN, flat, mu,
                                           antimedian, conn)
     assert np.array_equal(got.labels, expected.labels)
@@ -124,24 +123,21 @@ def test_matches_bruteforce_oracle(cube, lam, mu, conn, antimedian):
     assert classes_are_connected(got, conn)
     pts = np.arange(metric.pixel_count)
     for seed, ball in balls:
-        direct = metric.distances_flat(seed.y * cube.width + seed.x, pts)
+        direct = distance_row(metric, seed.y * cube.width + seed.x, pts)
         for p, d in ball.items():
             assert direct[p.y * cube.width + p.x] <= d + 1e-12 and d <= mu
 
 
 def test_mu_above_total_edge_weight_reproduces_flat_zones(tooth_setup):
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    ew = build_edge_weights(metric, Connectivity.FOUR)
-    out = mu_geodesic_balls(cube, metric, flat, MuParams(ew.total_weight()))
-    assert np.array_equal(out.labels, flat.labels)
+    pipeline = _pipeline(tooth_setup[0], 10.0)
+    out = pipeline.refine("mu", pipeline.edge_weights.total_weight())
+    assert np.array_equal(out.labels, pipeline.flat.labels)
 
 
 def test_deterministic(tooth_setup):
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    a = mu_geodesic_balls(cube, metric, flat, MuParams(30.0))
-    b = mu_geodesic_balls(cube, metric, flat, MuParams(30.0))
+    pipeline = _pipeline(tooth_setup[0], 10.0)
+    a = pipeline.refine("mu", 30.0)
+    b = pipeline.refine("mu", 30.0)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -149,18 +145,17 @@ def test_sweep_counts_regression(tooth_setup):
     # frozen from oracle-verified runs on the default saw; the median seed
     # sits 17 columns from the far edge, so radius 100 cannot reach one
     # region and the curve bottoms out at 2
-    cube, metric = tooth_setup
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 10.0))
-    counts = [mu_geodesic_balls(cube, metric, flat, MuParams(float(v))).count
-              for v in range(0, 101, 10)]
+    pipeline = _pipeline(tooth_setup[0], 10.0)
+    counts = [pipeline.refine("mu", float(v)).count for v in range(0, 101, 10)]
     assert counts == [21, 10, 7, 4, 3, 3, 3, 3, 2, 2, 2]
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        MuParams(-2.0)
-    with pytest.raises(ValueError):
-        MuParams(float("nan"))
+def test_params_validation(tooth_setup):
+    pipeline = _pipeline(tooth_setup[0], 10.0)
+    with pytest.raises(ValueError, match="mu must be >= 0"):
+        pipeline.refine("mu", -2.0)
+    with pytest.raises(ValueError, match="mu must be >= 0"):
+        pipeline.refine("mu", float("nan"))
 
 
 def test_singleton_classes_skip_dijkstra(monkeypatch):
@@ -176,7 +171,8 @@ def test_singleton_classes_skip_dijkstra(monkeypatch):
     # class 0 is the top row; every other pixel is a class of its own
     flat = LabelMap(np.array([[0, 0, 0, 0], [1, 2, 3, 4], [5, 6, 7, 8]]))
     expected = [[0, 0, 0, 1], [2, 3, 4, 5], [6, 7, 8, 9]]
-    out = mu_geodesic_balls(cube, metric, flat, MuParams(1.5))
+    pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
+    out = pipeline.refine("mu", 1.5)
     # class 0 in seed order is pixels 1, 2, 0, 3: it grows in lockstep from
     # its first seed, then from its last (local positions 0 and 3)
     assert calls == [[0], [3]]
@@ -184,6 +180,6 @@ def test_singleton_classes_skip_dijkstra(monkeypatch):
     # above the gate it runs one search per seed, from raster pixels 1 and 3
     monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
     calls.clear()
-    out = mu_geodesic_balls(cube, metric, flat, MuParams(1.5))
+    out = pipeline.refine("mu", 1.5)
     assert calls == [1, 3]
     assert out.labels.tolist() == expected

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (EtaParams, LabelMap, LambdaParams, MetricKind, MuParams,
-                   RegionSizeCapError, SeedOrder, SpectralCube, build_edge_weights,
-                   build_metric, eta_bounded_regions, lambda_flat_zones,
-                   mu_geodesic_balls, order_classes, relabel_dense)
+from hsseg import (Connectivity, LabelMap, MetricKind, Pipeline, RegionSizeCapError,
+                   SeedOrder, SpectralCube, build_edge_weights, build_metric,
+                   order_classes, prepare, relabel_dense)
 from hsseg import growth, seeds
 from hsseg.seeds import class_orderings
 
@@ -114,7 +113,6 @@ def _random_partition(rng, h, w):
 def _assert_matches_reference(cube, flat, metric, order):
     classes, keys = reference_orderings(cube, metric.kind, flat, order is ANTI)
     got = order_classes(flat, metric, order)
-    assert got.order is order
     assert got.offsets.tolist() == np.cumsum([0] + [len(c) for c in classes]).tolist()
     for c, ref in enumerate(classes):
         assert got.pixels[got.offsets[c]:got.offsets[c + 1]].tolist() == ref.tolist()
@@ -223,10 +221,11 @@ def test_block_budget_and_gate_do_not_change_keys_or_labels(monkeypatch):
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
 
     def run():
-        ordering = order_classes(flat, metric, ANTI)
+        pipeline = Pipeline(metric, build_edge_weights(metric), flat, ANTI)
+        ordering = pipeline.ordering
         keys = {c: k.tobytes() for c, _, k in class_orderings(flat, metric, ANTI)}
-        eta = eta_bounded_regions(cube, metric, flat, EtaParams(0.8, ANTI), ordering=ordering)
-        mu = mu_geodesic_balls(cube, metric, flat, MuParams(1.5, ANTI), ordering=ordering)
+        eta = pipeline.refine("eta", 0.8)
+        mu = pipeline.refine("mu", 1.5)
         assert flat.count < eta.count < flat.labels.size
         assert flat.count < mu.count < flat.labels.size
         return ordering.pixels.tolist(), keys, eta.labels.tolist(), mu.labels.tolist()
@@ -249,14 +248,13 @@ def test_small_class_batches_keep_a_bounded_peak():
     cube = SpectralCube(rng.uniform(0.1, 1.0, size=(63, 1000, 64)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     flat = LabelMap(np.tile(np.arange(1000), (63, 1)))
-    edge_weights = build_edge_weights(metric)
+    pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
     tracemalloc.start()
     try:
-        ordering = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+        pipeline.ordering
         order_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        out = eta_bounded_regions(cube, metric, flat, EtaParams(1e18),
-                                  edge_weights=edge_weights, ordering=ordering)
+        out = pipeline.refine("eta", 1e18)
         eta_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,12 +270,11 @@ def test_large_classes_keep_a_bounded_peak_in_the_mu_pass():
     cube = SpectralCube(rng.uniform(0.1, 1.0, size=(63, 1000, 64)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     flat = LabelMap(np.tile(np.arange(1000), (63, 1)))
-    edge_weights = build_edge_weights(metric)
-    ordering = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+    pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
+    pipeline.ordering  # built before the peak is traced
     tracemalloc.start()
     try:
-        out = mu_geodesic_balls(cube, metric, flat, MuParams(1e18),
-                                edge_weights=edge_weights, ordering=ordering)
+        out = pipeline.refine("mu", 1e18)
         mu_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,31 +328,26 @@ def test_region_cap_checked_before_any_kernel_call(monkeypatch):
     flat = relabel_dense(np.array([[0, 0, 1, 1], [1, 1, 1, 1]]))
     with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
         order_classes(flat, metric, SeedOrder.MEDIAN_FIRST, max_region_size=4)
-    with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
-        eta_bounded_regions(cube, metric, flat, EtaParams(1.0), max_region_size=4)
-    with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
-        mu_geodesic_balls(cube, metric, flat, MuParams(1.0), max_region_size=4)
+    pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST,
+                        max_region_size=4)
+    for algo in ("eta", "mu"):
+        with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
+            pipeline.refine(algo, 1.0)
     assert calls == []
 
 
 def test_passes_reuse_a_matching_ordering_only():
+    # one pipeline orders its seeds once for every pass and value; a new
+    # pipeline per value orders them afresh, and the labels agree
     rng = np.random.default_rng(5)
     cube = SpectralCube(rng.choice([0.0, 0.5, 1.0], size=(6, 5, 2)))
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    flat = lambda_flat_zones(cube, LambdaParams(metric, 0.6))
-    med = order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+
+    def pipeline():
+        return prepare(cube, MetricKind.EUCLIDEAN, 0.6, Connectivity.FOUR,
+                       SeedOrder.MEDIAN_FIRST)
+
+    shared = pipeline()
     for value in (0.0, 0.5, 2.0):
-        fresh = eta_bounded_regions(cube, metric, flat, EtaParams(value))
-        shared = eta_bounded_regions(cube, metric, flat, EtaParams(value), ordering=med)
-        assert np.array_equal(fresh.labels, shared.labels)
-        fresh = mu_geodesic_balls(cube, metric, flat, MuParams(value))
-        shared = mu_geodesic_balls(cube, metric, flat, MuParams(value), ordering=med)
-        assert np.array_equal(fresh.labels, shared.labels)
-    anti = SeedOrder.ANTIMEDIAN_FIRST
-    with pytest.raises(ValueError, match="median-first"):
-        eta_bounded_regions(cube, metric, flat, EtaParams(1.0, anti), ordering=med)
-    with pytest.raises(ValueError, match="median-first"):
-        mu_geodesic_balls(cube, metric, flat, MuParams(1.0, anti), ordering=med)
-    other = lambda_flat_zones(cube, LambdaParams(metric, 0.0))
-    with pytest.raises(ValueError, match="flat partition"):
-        eta_bounded_regions(cube, metric, other, EtaParams(1.0), ordering=med)
+        for algo in ("eta", "mu"):
+            fresh = pipeline().refine(algo, value)
+            assert np.array_equal(fresh.labels, shared.refine(algo, value).labels)

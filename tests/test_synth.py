@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hsseg import (LambdaParams, MetricKind, ToothSawSpec, build_metric,
-                   lambda_flat_zones, tooth_saw_cube, tooth_saw_profile)
+from hsseg import ToothSawSpec, tooth_saw_cube
+from hsseg.synth import tooth_saw_profile
+
+from conftest import flat_zones
 
 
 def test_default_dimensions():
@@ -27,15 +29,13 @@ def test_rows_identical_and_extra_bands_constant():
 def test_calibration_contract():
     # the two zone counts the default profile is calibrated to produce
     cube = tooth_saw_cube()
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    assert lambda_flat_zones(cube, LambdaParams(metric, 9.9)).count == 21
-    assert lambda_flat_zones(cube, LambdaParams(metric, 10.0)).count == 1
+    assert flat_zones(cube, 9.9).count == 21
+    assert flat_zones(cube, 10.0).count == 1
 
 
 def test_sub_threshold_lambda_gives_column_stripes():
     cube = tooth_saw_cube()
-    metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    fz = lambda_flat_zones(cube, LambdaParams(metric, 5.0))
+    fz = flat_zones(cube, 5.0)
     assert fz.count == 21
     # each zone is one full-height column
     assert (fz.labels == np.arange(21)[None, :]).all()
