@@ -10,8 +10,6 @@ class into connected, center-bounded pieces.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .grid import LabelMap
@@ -29,39 +27,37 @@ def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat:
     distance is 0 <= eta, so every pixel ends up assigned. `edge_weights`
     is the neighbour table of the run, and `ordering`, from `order_classes`
     on `flat`, gives the seeds. Small classes grow in lockstep (see
-    `growth`); each larger class grows breadth-first from one seed at a time.
+    `growth`); in a larger class each region grows one breadth-first level at
+    a time, computing distances to the seed only for the free pixels reached.
     """
     neighbors = edge_weights.neighbors
-    # One mask per pass: the growth reads it only on the unassigned (-1)
-    # pixels of the current class.
-    accept = np.zeros(metric.pixel_count, dtype=bool)
 
-    def grow_class(pts: np.ndarray, local: np.ndarray) -> None:
-        # the class's coordinates and one difference buffer serve every seed
-        coords = metric.coords_flat[pts]
-        diff = np.empty_like(coords)
-        step = 0
-        for k, seed in enumerate(pts.tolist()):
-            if local[seed] != -1:
-                continue
-            accept[pts] = _norms(np.subtract(coords, coords[k], out=diff)) <= eta
-            local[seed] = step
-            queue = deque([seed])
-            while queue:
-                for j in neighbors[queue.popleft()].tolist():
-                    if j >= 0 and local[j] == -1 and accept[j]:
-                        local[j] = step
-                        queue.append(j)
-            step += 1
+    def region(seed: int, free: np.ndarray) -> np.ndarray:
+        reached, level = [np.array([seed])], neighbors[seed]
+        free[seed] = False
+        while len(level := level[free[level]]):
+            level = level[_seed_rows(metric, level, seed) <= eta]
+            if not len(level):
+                break
+            free[level] = False
+            reached.append(level)
+            # each pixel once: a sort, as np.unique would import numpy.ma
+            level = np.sort(neighbors[level], axis=None)
+            level = level[np.concatenate(([True], level[1:] != level[:-1]))]
+        return np.concatenate(reached)
 
-    return refine_classes(flat, ordering, edge_weights, grow_class,
+    return refine_classes(flat, ordering, edge_weights, region,
                           admit=lambda pts, seeds: _seed_rows(metric, pts, seeds) <= eta,
                           admit_bytes=8 * metric.bands)
 
 
-def _seed_rows(metric: SpectralMetric, pts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """(r, K) distances from seeds[i] to pts[i], bitwise grow_class's per-seed rows."""
+def _seed_rows(metric: SpectralMetric, pts: np.ndarray, seeds: np.ndarray | int) -> np.ndarray:
+    """Distances from each seed to its pixels: seeds (r,) to pts (r, K), or one seed to pts (m,).
+
+    Each is a `_norms` row of an (m, bands) difference, so its bits do not
+    depend on which pixels, or how many, share the row.
+    """
     cf = metric.coords_flat
     diff = cf[pts]
-    diff -= cf[seeds][:, None]
+    diff -= cf[seeds, None]
     return _norms(diff)

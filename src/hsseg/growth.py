@@ -3,7 +3,7 @@
 Both passes cut each class into regions seed by seed. Classes of 2 to
 _LOCKSTEP_MAX_PIXELS pixels are batched by size and grown in lockstep, one
 region per class per step, by one min-plus relaxation (`_grow`); larger
-classes take the pass's own per-seed search.
+classes are walked seed by seed, the pass supplying only each seed's region.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from .metrics import EdgeWeights
 from .seeds import ClassOrdering, size_batches
 
 # Largest class grown in lockstep. On column classes (hop diameter K - 1, one
-# region each) the lockstep beat the per-seed loop at every K <= 16 at 8 bands
-# and K <= 12 at 64 bands, and took 1.2 to 2.2 times as long at 32 pixels.
+# region each) the lockstep beat the per-seed walk at every K <= 24 in both
+# passes at 8 and 64 bands, eta by 4.5 to 12 times, and mu lost at 32 pixels.
+# Real classes hold many small regions, one lockstep step each: a gate of 24
+# made the many-classes mu job 35-45% slower, so the gate stays at 16.
 _LOCKSTEP_MAX_PIXELS = 16
 
 
@@ -52,7 +54,7 @@ def _grow(nbl: np.ndarray, wl: np.ndarray, allowed: np.ndarray, seeds: np.ndarra
 
 
 def refine_classes(flat: LabelMap, ordering: ClassOrdering, edge_weights: EdgeWeights,
-                   grow_class, *, radius: float | None = None, admit=None,
+                   region, *, radius: float | None = None, admit=None,
                    admit_bytes: int = 0) -> LabelMap:
     """Labels of the regions every class is cut into: class by class, then step by step.
 
@@ -60,8 +62,10 @@ def refine_classes(flat: LabelMap, ordering: ClassOrdering, edge_weights: EdgeWe
     as seed and `_grow`s its ball of radius over the free pixels that
     admit(pts, seed_pixels) accepts, or all of them; radius None grows a
     connected component (zero weights, radius 0). admit holds admit_bytes
-    per pixel. Each larger class goes to grow_class(pts, local), which
-    writes the step index of each pixel of pts into local, -1 until then.
+    per pixel. A larger class is walked in seed order: each seed still free
+    takes region(seed, free), the flat indices of its region among the free
+    pixels, which region may clear from free itself. free has one more entry
+    than the grid, always False, so an off-grid neighbour (-1) is never free.
     """
     lab = flat.labels.ravel()
     pixels, offsets = ordering.pixels, ordering.offsets
@@ -77,21 +81,29 @@ def refine_classes(flat: LabelMap, ordering: ClassOrdering, edge_weights: EdgeWe
         inside = (nb >= 0) & (lab[nb] == lab[pts[:, :1, None]])
         nbl = np.where(inside, pos[nb], k)
         wl = np.where(inside, 0.0 if radius is None else edge_weights.weights[pts], np.inf)
-        free = np.ones((n, k), dtype=bool)
+        rest = np.ones((n, k), dtype=bool)
         step = 0
         while len(pts):
-            seeds = free.argmax(axis=1)
-            allowed = free if admit is None else free & admit(pts, pts[np.arange(len(pts)), seeds])
+            seeds = rest.argmax(axis=1)
+            allowed = rest if admit is None else rest & admit(pts, pts[np.arange(len(pts)), seeds])
             member = _grow(nbl, wl, allowed, seeds, radius or 0.0)
             local[pts[member]] = step
-            free &= ~member
-            left = free.any(axis=1)
-            pts, nbl, wl, free = pts[left], nbl[left], wl[left], free[left]
+            rest &= ~member
+            left = rest.any(axis=1)
+            pts, nbl, wl, rest = pts[left], nbl[left], wl[left], rest[left]
             step += 1
+    # the unassigned pixels of the class being walked; a walked class has none left
+    free = np.zeros(lab.size + 1, dtype=bool)
     for c in np.flatnonzero(sizes > _LOCKSTEP_MAX_PIXELS).tolist():
         pts = pixels[offsets[c]:offsets[c + 1]]
-        local[pts] = -1
-        grow_class(pts, local)
+        free[pts] = True
+        step = 0
+        for seed in pts.tolist():
+            if free[seed]:
+                members = region(seed, free)
+                local[members] = step
+                free[members] = False
+                step += 1
     # a pixel's label: the regions of the classes before its own, plus its step
     counts = np.maximum.reduceat(local[pixels], offsets[:-1]) + 1
     base = np.zeros(flat.count, dtype=np.int32)

@@ -235,18 +235,16 @@ class SegmentationReport:
     param: float | None            # eta or mu value; None for flat runs
     connectivity: int
     seed_order: str | None         # None for flat runs
-    regions: int
     region_sizes: tuple[int, ...]
     millis: float
 
     def __post_init__(self):
-        if self.regions != len(self.region_sizes):
-            raise ValueError(
-                f"regions ({self.regions}) does not match region_sizes "
-                f"({len(self.region_sizes)} entries)"
-            )
         if min(self.region_sizes, default=1) < 1:
             raise ValueError("region sizes must be positive")
+
+    @property
+    def regions(self) -> int:
+        return len(self.region_sizes)
 
     @classmethod
     def from_labels(cls, labels: LabelMap, *, algorithm, metric, lam, param,
@@ -254,11 +252,7 @@ class SegmentationReport:
         sizes = tuple(region_sizes(labels).tolist())
         return cls(algorithm=algorithm, metric=metric, lam=lam, param=param,
                    connectivity=connectivity, seed_order=seed_order,
-                   regions=labels.count, region_sizes=sizes, millis=millis)
-
-    @property
-    def pixel_count(self) -> int:
-        return sum(self.region_sizes)
+                   region_sizes=sizes, millis=millis)
 
 
 def _fmt(value) -> str:

@@ -58,21 +58,9 @@ def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: Class
     always reachable at distance 0, so every class is fully covered.
     `edge_weights` is the neighbour table of the run, and `ordering`, from
     `order_classes` on `flat`, gives the seeds. Small classes grow in
-    lockstep (see `growth`); each larger class runs one `_dijkstra_ball` per seed.
+    lockstep (see `growth`); in a larger class each seed still free takes
+    one `_dijkstra_ball` over the class's free pixels.
     """
-    # The Dijkstra domain: unassigned pixels of the current class. A finished
-    # class has none left, so the mask never needs clearing.
-    free = np.zeros(flat.labels.size, dtype=bool)
-
-    def grow_class(pts: np.ndarray, local: np.ndarray) -> None:
-        free[pts] = True
-        step = 0
-        for seed in pts.tolist():
-            if not free[seed]:
-                continue
-            ball = list(_dijkstra_ball(edge_weights, free, seed, mu))
-            local[ball] = step
-            free[ball] = False
-            step += 1
-
-    return refine_classes(flat, ordering, edge_weights, grow_class, radius=mu)
+    return refine_classes(flat, ordering, edge_weights,
+                          lambda seed, free: list(_dijkstra_ball(edge_weights, free, seed, mu)),
+                          radius=mu)

@@ -261,8 +261,10 @@ def test_cli_runs_do_not_import_numpy_ma(tmp_path):
     rng = np.random.default_rng(0)
     hsseg.write_cube(hsseg.SpectralCube(rng.integers(0, 3, size=(6, 7, 2)).astype(float)), cube)
     env = dict(os.environ, PYTHONPATH=str(Path(hsseg.__file__).parents[1]))
-    runs = [[command, "--input", str(cube), "--lambda", "1", f"--{command}", "1",
-             "--outdir", str(tmp_path / command)] for command in ("eta", "mu")]
+    # lambda inf makes one class of 42 px, above the lockstep gate
+    runs = [[command, "--input", str(cube), "--lambda", lam, f"--{command}", "1",
+             "--outdir", str(tmp_path / command)]
+            for lam in ("inf", "1") for command in ("eta", "mu")]
     runs.append(["stats", str(tmp_path / "eta" / "labels.pgm")])
     for args in runs:
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hsseg", *args],

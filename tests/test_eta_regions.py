@@ -129,9 +129,9 @@ def test_singleton_classes_skip_distances(monkeypatch):
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     edge_weights = build_edge_weights(metric)
 
-    def eta_zero(flat):
+    def eta_zero(flat, eta=0.0):
         # a new pipeline, so its ordering is built afresh
-        return Pipeline(metric, edge_weights, flat, SeedOrder.MEDIAN_FIRST).refine("eta", 0.0)
+        return Pipeline(metric, edge_weights, flat, SeedOrder.MEDIAN_FIRST).refine("eta", eta)
 
     flat = LabelMap(np.arange(12).reshape(3, 4))
     out = eta_zero(flat)
@@ -143,8 +143,14 @@ def test_singleton_classes_skip_distances(monkeypatch):
     out = eta_zero(flat)
     assert calls == ["pair_distances", "_norms"] + ["_norms", "_grow"] * 2
     assert out.count == 12
-    # above the gate the class takes one seed row per region and no growth
+    # above the gate a region takes one distance row per breadth-first level
+    # that reaches a free pixel, and no growth: at eta 0 the first seed's
+    # level reaches its partner and rejects it, and the partner's reaches none
     monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
     calls.clear()
     assert np.array_equal(eta_zero(flat).labels, out.labels)
-    assert calls == ["pair_distances", "_norms"] + ["_norms"] * 2
+    assert calls == ["pair_distances", "_norms"] + ["_norms"]
+    # at a large eta the first level takes the partner, and the next reaches none
+    calls.clear()
+    assert np.array_equal(eta_zero(flat, 1e18).labels, flat.labels)
+    assert calls == ["pair_distances", "_norms"] + ["_norms"]

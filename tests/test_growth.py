@@ -45,10 +45,11 @@ def _run_both(metric, flat, conn, order, monkeypatch):
 
 
 @pytest.mark.parametrize("conn", list(Connectivity))
-@pytest.mark.parametrize("k", range(2, GATE + 1))
+@pytest.mark.parametrize("k", [*range(2, GATE + 1), 24, 40])
 def test_lockstep_matches_oracles_and_per_seed_path(k, conn, monkeypatch):
     # integer levels: exact ties in distances, cumulative distances and
-    # geodesic sums, and zero-weight plateaus
+    # geodesic sums, and zero-weight plateaus; at k above the gate both runs
+    # take the per-seed walk
     rng = np.random.default_rng(k)
     cube = SpectralCube(rng.integers(1, 4, size=(k + 1, 6, 2)).astype(float))
     flat = _snake_partition(k)
@@ -80,8 +81,13 @@ def test_eta_seed_rows_keep_their_bits(bands, monkeypatch):
         seeds = rng.integers(0, k, size=12)
         rows = eta_regions._seed_rows(metric, pts, pts[np.arange(12), seeds])
         for i, (row, seed) in enumerate(zip(rows, seeds)):
-            # the per-seed row of a class above the lockstep gate
-            assert row.tobytes() == distance_row(metric, pts[i, seed], pts[i]).tobytes()
+            # a lockstep step's row is the seed's row over its whole class
+            full = distance_row(metric, pts[i, seed], pts[i])
+            assert row.tobytes() == full.tobytes()
+            # a frontier level's row: an unsorted subset of the class, one seed
+            sub = rng.permutation(k)[:rng.integers(1, k + 1)]
+            frontier = eta_regions._seed_rows(metric, pts[i, sub], pts[i, seed])
+            assert frontier.tobytes() == full[sub].tobytes()
         # at an eta equal to a distance the comparison is a tie, so a row one
         # ulp off would move a pixel
         for eta in np.sort(rows.ravel())[::29]:
@@ -90,6 +96,26 @@ def test_eta_seed_rows_keep_their_bits(bands, monkeypatch):
                 monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", gate)
                 labels.append(pipeline.refine("eta", eta).labels)
             assert np.array_equal(*labels)
+
+
+def test_eta_walk_computes_distances_only_at_its_frontier(monkeypatch):
+    # one class of 900 distinct spectra with eta below every step: each
+    # region is its seed alone, and each seed needs the distances to its at
+    # most four free neighbours, not a row over the whole class
+    rng = np.random.default_rng(5)
+    cube = SpectralCube(rng.uniform(0.1, 1.0, size=(30, 30, 8)))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    edge_weights = build_edge_weights(metric)
+    flat = LabelMap(np.zeros((30, 30), dtype=np.int32))
+    pipeline = Pipeline(metric, edge_weights, flat, SeedOrder.MEDIAN_FIRST)
+    pipeline.ordering  # its distances are not the pass's
+    evaluated = []
+    norms = eta_regions._norms
+    monkeypatch.setattr(eta_regions, "_norms",
+                        lambda diff: evaluated.append(diff[..., 0].size) or norms(diff))
+    out = pipeline.refine("eta", edge_weights.weights.min() / 2)
+    assert out.count == 900
+    assert 0 < sum(evaluated) <= 900 * 4
 
 
 def test_lockstep_batches_keep_a_bounded_peak():

@@ -220,7 +220,7 @@ def test_graymap_errors(tmp_path):
 
 def _report(**overrides):
     fields = dict(algorithm="flat", metric="euclidean", lam=9.9, param=None,
-                  connectivity=4, seed_order=None, regions=2,
+                  connectivity=4, seed_order=None,
                   region_sizes=(3, 1), millis=1.5)
     fields.update(overrides)
     return SegmentationReport(**fields)
@@ -228,10 +228,8 @@ def _report(**overrides):
 
 def test_report_invariants():
     with pytest.raises(ValueError):
-        _report(regions=3)
-    with pytest.raises(ValueError):
         _report(region_sizes=(3, 0))
-    assert _report().pixel_count == 4
+    assert _report().regions == 2
 
 
 def test_report_from_labels():
@@ -240,7 +238,6 @@ def test_report_from_labels():
         labels, algorithm="eta", metric="chi2", lam=float("inf"), param=0.5,
         connectivity=8, seed_order="median", millis=2.0)
     assert rep.regions == 2 and rep.region_sizes == (3, 3)
-    assert rep.pixel_count == 6
 
 
 def test_write_report_text(tmp_path):
@@ -276,7 +273,7 @@ def test_report_text_of_a_map_with_many_regions(tmp_path):
 def test_sweep_csv_idempotent_header(tmp_path):
     path = tmp_path / "sweep.csv"
     append_sweep_row(_report(), path)
-    append_sweep_row(_report(regions=1, region_sizes=(4,)), path)
+    append_sweep_row(_report(region_sizes=(4,)), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "algorithm,metric,lambda,param,connectivity,seed_order,regions,millis"
     assert len(lines) == 3
