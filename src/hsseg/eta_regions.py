@@ -15,7 +15,7 @@ import numpy as np
 from .grid import LabelMap
 from .growth import refine_classes
 from .metrics import EdgeWeights, SpectralMetric, _norms
-from .seeds import ClassOrdering
+from .seeds import _BLOCK_BYTES, ClassOrdering
 
 
 def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat: LabelMap,
@@ -26,11 +26,12 @@ def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat:
     class, then seed by seed). A seed always accepts itself since its self
     distance is 0 <= eta, so every pixel ends up assigned. `edge_weights`
     is the neighbour table of the run, and `ordering`, from `order_classes`
-    on `flat`, gives the seeds. Small classes grow in lockstep (see
-    `growth`); in a larger class each region grows one breadth-first level at
-    a time, computing distances to the seed only for the free pixels reached.
+    on `flat`, gives the seeds. In small classes, which step together (see
+    `growth`), and in larger ones a region grows one breadth-first level at a
+    time, computing distances to the seed only for the free pixels reached.
     """
     neighbors = edge_weights.neighbors
+    rows = max(1, _BLOCK_BYTES // (8 * metric.bands))
 
     def region(seed: int, free: np.ndarray) -> np.ndarray:
         reached, level = [np.array([seed])], neighbors[seed]
@@ -46,18 +47,20 @@ def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat:
             level = level[np.concatenate(([True], level[1:] != level[:-1]))]
         return np.concatenate(reached)
 
-    return refine_classes(flat, ordering, edge_weights, region,
-                          admit=lambda pts, seeds: _seed_rows(metric, pts, seeds) <= eta,
-                          admit_bytes=8 * metric.bands)
+    def admit(pts: np.ndarray, seeds: np.ndarray) -> np.ndarray:  # in _BLOCK_BYTES blocks
+        return np.concatenate([_seed_rows(metric, pts[b:b + rows], seeds[b:b + rows]) <= eta
+                               for b in range(0, len(pts), rows)])
+
+    return refine_classes(flat, ordering, edge_weights, region, admit=admit)
 
 
 def _seed_rows(metric: SpectralMetric, pts: np.ndarray, seeds: np.ndarray | int) -> np.ndarray:
-    """Distances from each seed to its pixels: seeds (r,) to pts (r, K), or one seed to pts (m,).
+    """Distances from seeds to pts (m,): one seed per pixel (m,), or one seed for all.
 
     Each is a `_norms` row of an (m, bands) difference, so its bits do not
     depend on which pixels, or how many, share the row.
     """
     cf = metric.coords_flat
     diff = cf[pts]
-    diff -= cf[seeds, None]
+    diff -= cf[seeds]
     return _norms(diff)

@@ -1,97 +1,106 @@
 """Class-local region growth shared by the eta and mu passes.
 
 Both passes cut each class into regions seed by seed. Classes of 2 to
-_LOCKSTEP_MAX_PIXELS pixels are batched by size and grown in lockstep, one
-region per class per step, by one min-plus relaxation (`_grow`); larger
-classes are walked seed by seed, the pass supplying only each seed's region.
+_LOCKSTEP_MAX_PIXELS pixels step together, one region per class per step, on
+the run's neighbour table (`_relax`); larger classes are walked seed by seed,
+the pass supplying only each seed's region.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .grid import LabelMap
 from .metrics import EdgeWeights
-from .seeds import ClassOrdering, size_batches
+from .seeds import ClassOrdering
 
-# Largest class grown in lockstep. On column classes (hop diameter K - 1, one
-# region each) the lockstep beat the per-seed walk at every K <= 24 in both
-# passes at 8 and 64 bands, eta by 4.5 to 12 times, and mu lost at 32 pixels.
-# Real classes hold many small regions, one lockstep step each: a gate of 24
-# made the many-classes mu job 35-45% slower, so the gate stays at 16.
-_LOCKSTEP_MAX_PIXELS = 16
+# Largest class grown in lockstep. On 1 000 column classes of K pixels (one
+# region each, 8 and 64 bands) the lockstep beat the walk at every K from 24 to
+# 128, eta by 27-71 times and mu by 6-12. On the many-classes cube gate 128 was
+# slower than 16 nowhere, and at lambda 0.035 8-conn and 0.04 4-conn eta ran 5-7
+# and mu 3-4 times faster. One large class stepped alone runs mu about 2x slower.
+_LOCKSTEP_MAX_PIXELS = 128
 
 
-def _grow(nbl: np.ndarray, wl: np.ndarray, allowed: np.ndarray, seeds: np.ndarray,
-          radius: float) -> np.ndarray:
-    """Which pixels of each row lie within radius of the row's seed: (n, K) bool.
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a, ascending, by a sort: np.unique would import numpy.ma."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))[:a.size]]  # a may be empty
 
-    Row i is one class of K pixels in seed order; nbl[i, p] holds the
-    positions of p's class neighbours (K off the class) and wl[i, p] the step
-    weights (+inf at K). Distances relax min-plus from 0 at seeds[i] over the
-    allowed pixels, and a row drops out once they stop changing. Float
-    addition is monotone and weights are >= 0, so the least fixed point
-    holds the least left-fold path sums: the members are the pixels a
-    Dijkstra search settles, at a finite sum of at most radius.
+
+def _relax(edge_weights: EdgeWeights, owner: np.ndarray, seeds: np.ndarray,
+           radius: float | None, admit) -> np.ndarray:
+    """Flat indices of one lockstep step's regions, one per seed, taken from owner.
+
+    owner[p] is p's class while p is free and -1 once taken; its last entry
+    stays -1, so an off-grid neighbour (-1) is in no class. A seed grows over
+    the free pixels of its class: with radius None, the connected component of
+    those admit(pts, seeds_of_pts) keeps, level by level; otherwise a ball, as
+    distances relax min-plus from 0 until none drops. Float addition is
+    monotone and weights are >= 0, so the least fixed point holds the least
+    left-fold path sums: a ball holds the pixels a Dijkstra search settles,
+    at a finite sum of at most radius.
     """
-    n, k = allowed.shape
-    limit = min(radius, np.finfo(np.float64).max)
-    dist = np.full((n, k + 1), np.inf)  # column K is the off-class sentinel
-    dist[np.arange(n), seeds] = 0.0
-    rows, d, blocked = np.arange(n), dist, ~allowed
-    while len(rows):
-        cand = d.take(nbl + (k + 1) * np.arange(len(rows))[:, None, None])
-        cand += wl
-        new = cand.min(axis=2)
-        new[blocked | (new > limit)] = np.inf
-        np.minimum(new, d[:, :k], out=new)
-        moved = (new != d[:, :k]).any(axis=1)
-        d[:, :k] = new
-        if not moved.all():
-            dist[rows[~moved]] = d[~moved]
-            rows, d, nbl, wl, blocked = (a[moved] for a in (rows, d, nbl, wl, blocked))
-    return dist[:, :k] <= limit
+    if radius is None:
+        seed_of = np.empty(owner[seeds].max() + 1, dtype=owner.dtype)
+        seed_of[owner[seeds]] = seeds
+        front, members = seeds, []
+        while len(front):
+            cls = owner[front]
+            owner[front] = -1
+            members.append(front)
+            nb = edge_weights.neighbors[front]
+            nb = _distinct(nb[owner[nb] == cls[:, None]])
+            front = nb[admit(nb, seed_of[owner[nb]])] if len(nb) else nb
+        return np.concatenate(members)
+    # a pixel not reached sits just above radius, so one comparison bounds a
+    # path sum and asks whether it drops; a sum that overflowed (+inf) never does
+    dist = np.full(owner.size, math.nextafter(radius, math.inf))
+    dist[seeds] = 0.0
+    front, members = seeds, [seeds]
+    while len(front):
+        nb = edge_weights.neighbors[front]
+        keep = owner[nb] == owner[front][:, None]
+        cand = edge_weights.weights[front]
+        cand += dist[front][:, None]
+        nb, cand = nb[keep], cand[keep]
+        keep = cand < dist[nb]
+        nb = nb[keep]
+        np.minimum.at(dist, nb, cand[keep])
+        front = _distinct(nb)
+        members.append(front)
+    members = np.concatenate(members)
+    owner[members] = -1
+    return members
 
 
 def refine_classes(flat: LabelMap, ordering: ClassOrdering, edge_weights: EdgeWeights,
-                   region, *, radius: float | None = None, admit=None,
-                   admit_bytes: int = 0) -> LabelMap:
+                   region, *, radius: float | None = None, admit=None) -> LabelMap:
     """Labels of the regions every class is cut into: class by class, then step by step.
 
-    A lockstep step gives every class not yet covered its first free pixel
-    as seed and `_grow`s its ball of radius over the free pixels that
-    admit(pts, seed_pixels) accepts, or all of them; radius None grows a
-    connected component (zero weights, radius 0). admit holds admit_bytes
-    per pixel. A larger class is walked in seed order: each seed still free
-    takes region(seed, free), the flat indices of its region among the free
-    pixels, which region may clear from free itself. free has one more entry
-    than the grid, always False, so an off-grid neighbour (-1) is never free.
+    A lockstep step `_relax`es one region, of radius or kept by admit, in
+    every class not yet covered. A larger class is walked in seed order: each
+    seed still free takes region(seed, free), the flat indices of its region
+    among the free pixels, which region may clear from free itself. free has
+    one more entry than the grid, always False, so an off-grid neighbour (-1)
+    is never free.
     """
     lab = flat.labels.ravel()
     pixels, offsets = ordering.pixels, ordering.offsets
     sizes = np.diff(offsets)
     local = np.zeros(lab.size, dtype=np.int32)  # a one-pixel class is step 0
-    pos = np.empty(lab.size, dtype=np.intp)
-    per_pixel = 32 * edge_weights.neighbors.shape[1] + admit_bytes
-    for _, pts in size_batches(sizes, offsets, pixels, _LOCKSTEP_MAX_PIXELS + 1,
-                               lambda k: k * per_pixel):
-        n, k = pts.shape
-        pos[pts] = np.arange(k)
-        nb = edge_weights.neighbors[pts]
-        inside = (nb >= 0) & (lab[nb] == lab[pts[:, :1, None]])
-        nbl = np.where(inside, pos[nb], k)
-        wl = np.where(inside, 0.0 if radius is None else edge_weights.weights[pts], np.inf)
-        rest = np.ones((n, k), dtype=bool)
-        step = 0
-        while len(pts):
-            seeds = rest.argmax(axis=1)
-            allowed = rest if admit is None else rest & admit(pts, pts[np.arange(len(pts)), seeds])
-            member = _grow(nbl, wl, allowed, seeds, radius or 0.0)
-            local[pts[member]] = step
-            rest &= ~member
-            left = rest.any(axis=1)
-            pts, nbl, wl, rest = pts[left], nbl[left], wl[left], rest[left]
-            step += 1
+    # the free pixels of the lockstep classes, grouped by class in seed order
+    queue = pixels[np.repeat((sizes > 1) & (sizes <= _LOCKSTEP_MAX_PIXELS), sizes)]
+    owner = np.full(lab.size + 1, -1, dtype=np.int32)
+    owner[queue] = lab[queue]
+    step = 0
+    while len(queue):
+        seeds = queue[np.concatenate(([True], lab[queue[1:]] != lab[queue[:-1]]))]
+        local[_relax(edge_weights, owner, seeds, radius, admit)] = step
+        queue = queue[owner[queue] >= 0]
+        step += 1
     # the unassigned pixels of the class being walked; a walked class has none left
     free = np.zeros(lab.size + 1, dtype=bool)
     for c in np.flatnonzero(sizes > _LOCKSTEP_MAX_PIXELS).tolist():

@@ -57,9 +57,9 @@ def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: Class
     The output refines `flat`; labels follow extraction order. The seed is
     always reachable at distance 0, so every class is fully covered.
     `edge_weights` is the neighbour table of the run, and `ordering`, from
-    `order_classes` on `flat`, gives the seeds. Small classes grow in
-    lockstep (see `growth`); in a larger class each seed still free takes
-    one `_dijkstra_ball` over the class's free pixels.
+    `order_classes` on `flat`, gives the seeds. Small classes step together
+    by one min-plus relaxation (see `growth`); in a larger class each seed
+    still free takes one `_dijkstra_ball` over the class's free pixels.
     """
     return refine_classes(flat, ordering, edge_weights,
                           lambda seed, free: list(_dijkstra_ball(edge_weights, free, seed, mu)),

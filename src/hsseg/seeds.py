@@ -39,9 +39,9 @@ class SeedOrder(Enum):
 # and classes are batched by size instead.
 _COLLAPSE_MIN_PIXELS = 64
 
-# Bytes of the working arrays of one batch of small classes of K pixels, such
-# as the (classes, K, K, bands) difference block of the ordering; a batch holds
-# at least one class.
+# Bytes of one block: of the ordering's (classes, K, K, bands) differences of
+# a batch of small classes, which holds at least one class, and of the
+# (pixels, bands) differences of the seed rows of an eta lockstep level.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -54,23 +54,6 @@ def pair_distances(metric: SpectralMetric, pts: np.ndarray) -> np.ndarray:
     """
     c = metric.coords_flat[pts]
     return _norms(c[:, None] - c[:, :, None])
-
-
-def size_batches(sizes: np.ndarray, starts: np.ndarray, pixels: np.ndarray, stop: int,
-                 class_bytes):
-    """Yield (at, pts) for the classes of 2 to stop - 1 pixels, by size.
-
-    Class i has sizes[i] pixels from pixels[starts[i]:]. at indexes sizes, and
-    row j of pts (n, K) holds the pixels of class at[j]. A batch holds at
-    least one class, and as many more as keep n * class_bytes(K) under
-    _BLOCK_BYTES.
-    """
-    for k in range(2, min(int(sizes.max()) + 1, stop)):
-        same = np.flatnonzero(sizes == k)
-        batch = max(1, _BLOCK_BYTES // class_bytes(k))
-        for b in range(0, len(same), batch):
-            at = same[b:b + batch]
-            yield at, pixels[starts[at, None] + np.arange(k)]
 
 
 def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
@@ -98,8 +81,9 @@ def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
     order. Every class is checked against the cap before any distance is
     computed. A one-pixel class has key 0.0 and is not yielded. Classes below
     _COLLAPSE_MIN_PIXELS come first, by size, and each batch of one size takes
-    its keys from one pair_distances block; larger classes follow through
-    _cumdist. Both give the bits of the per-pixel row loop.
+    its keys from one pair_distances block of at most _BLOCK_BYTES, or of one
+    class; larger classes follow through _cumdist. Both give the bits of the
+    per-pixel row loop.
     """
     lab = flat.labels.ravel()
     grouped = np.argsort(lab, kind="stable")
@@ -113,11 +97,15 @@ def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
     sign = 1.0 if order is SeedOrder.MEDIAN_FIRST else -1.0
     offsets = np.zeros(flat.count + 1, dtype=np.intp)
     np.cumsum(sizes, out=offsets[1:])
-    for labels, pts in size_batches(sizes, offsets, grouped, _COLLAPSE_MIN_PIXELS,
-                                    lambda k: k * k * metric.bands * 8):
-        keys = pair_distances(metric, pts).sum(axis=-1)
-        keys *= sign
-        yield from zip(labels.tolist(), pts, keys)
+    for k in range(2, min(int(sizes.max()) + 1, _COLLAPSE_MIN_PIXELS)):
+        same = np.flatnonzero(sizes == k)
+        batch = max(1, _BLOCK_BYTES // (k * k * metric.bands * 8))
+        for b in range(0, len(same), batch):
+            labels = same[b:b + batch]
+            pts = grouped[offsets[labels, None] + np.arange(k)]
+            keys = pair_distances(metric, pts).sum(axis=-1)
+            keys *= sign
+            yield from zip(labels.tolist(), pts, keys)
     for c in np.flatnonzero(sizes >= _COLLAPSE_MIN_PIXELS).tolist():
         pts = grouped[offsets[c]:offsets[c + 1]]
         yield c, pts, sign * _cumdist(metric, pts)

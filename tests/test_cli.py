@@ -259,9 +259,10 @@ def test_cli_runs_do_not_import_numpy_ma(tmp_path):
     # imports it; -X importtime lists every module a fresh interpreter loads
     cube = tmp_path / "cube.hsc"
     rng = np.random.default_rng(0)
-    hsseg.write_cube(hsseg.SpectralCube(rng.integers(0, 3, size=(6, 7, 2)).astype(float)), cube)
+    hsseg.write_cube(hsseg.SpectralCube(rng.integers(0, 3, size=(12, 12, 2)).astype(float)), cube)
     env = dict(os.environ, PYTHONPATH=str(Path(hsseg.__file__).parents[1]))
-    # lambda inf makes one class of 42 px, above the lockstep gate
+    # lambda inf makes one class of 144 px, above the lockstep gate
+    assert 144 > hsseg.growth._LOCKSTEP_MAX_PIXELS
     runs = [[command, "--input", str(cube), "--lambda", lam, f"--{command}", "1",
              "--outdir", str(tmp_path / command)]
             for lam in ("inf", "1") for command in ("eta", "mu")]

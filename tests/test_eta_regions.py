@@ -118,7 +118,7 @@ def test_singleton_classes_skip_distances(monkeypatch):
     # growth, goes through these names
     calls = []
     spied = ((seeds, ("pair_distances", "_norms")), (eta_regions, ("_norms",)),
-             (growth, ("_grow",)))
+             (growth, ("_relax",)))
     for module, names in spied:
         for name in names:
             fn = getattr(module, name)
@@ -138,13 +138,15 @@ def test_singleton_classes_skip_distances(monkeypatch):
     assert calls == []
     assert np.array_equal(out.labels, flat.labels)
     # the spies see a class of two pixels: one block in the ordering, then one
-    # seed row and one lockstep growth per region of the pass
+    # relaxation per step of the pass, and one seed row per free class pixel
+    # its frontier reaches: at eta 0 the first seed reaches its partner and
+    # rejects it, and the partner reaches none
     flat = relabel_dense(np.array([[0, 0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10]]))
     out = eta_zero(flat)
-    assert calls == ["pair_distances", "_norms"] + ["_norms", "_grow"] * 2
+    assert calls == ["pair_distances", "_norms"] + ["_relax", "_norms", "_relax"]
     assert out.count == 12
     # above the gate a region takes one distance row per breadth-first level
-    # that reaches a free pixel, and no growth: at eta 0 the first seed's
+    # that reaches a free pixel, and no relaxation: at eta 0 the first seed's
     # level reaches its partner and rejects it, and the partner's reaches none
     monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
     calls.clear()

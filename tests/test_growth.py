@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsseg import (Connectivity, LabelMap, MetricKind, Pipeline, SeedOrder, SpectralCube,
-                   build_edge_weights, build_metric)
+from hsseg import (Connectivity, EdgeWeights, LabelMap, MetricKind, Pipeline, SeedOrder,
+                   SpectralCube, build_edge_weights, build_metric)
 from hsseg import eta_regions, growth
 
 from conftest import distance_row
@@ -45,11 +45,11 @@ def _run_both(metric, flat, conn, order, monkeypatch):
 
 
 @pytest.mark.parametrize("conn", list(Connectivity))
-@pytest.mark.parametrize("k", [*range(2, GATE + 1), 24, 40])
+@pytest.mark.parametrize("k", [*range(2, 17), 24, 40])
 def test_lockstep_matches_oracles_and_per_seed_path(k, conn, monkeypatch):
     # integer levels: exact ties in distances, cumulative distances and
-    # geodesic sums, and zero-weight plateaus; at k above the gate both runs
-    # take the per-seed walk
+    # geodesic sums, and zero-weight plateaus; every k is grown in lockstep at
+    # the gate and walked seed by seed at gate 1
     rng = np.random.default_rng(k)
     cube = SpectralCube(rng.integers(1, 4, size=(k + 1, 6, 2)).astype(float))
     flat = _snake_partition(k)
@@ -71,7 +71,7 @@ def test_lockstep_matches_oracles_and_per_seed_path(k, conn, monkeypatch):
 def test_eta_seed_rows_keep_their_bits(bands, monkeypatch):
     # band counts at the block edges of numpy's pairwise sum
     rng = np.random.default_rng(bands)
-    k = GATE
+    k = 16
     cube = SpectralCube(rng.uniform(0.1, 1.0, size=(k, 12, bands)))
     flat = LabelMap(np.tile(np.arange(12), (k, 1)))
     for kind in MetricKind:
@@ -79,9 +79,14 @@ def test_eta_seed_rows_keep_their_bits(bands, monkeypatch):
         pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
         pts = np.arange(k * 12).reshape(k, 12).T
         seeds = rng.integers(0, k, size=12)
-        rows = eta_regions._seed_rows(metric, pts, pts[np.arange(12), seeds])
+        # a lockstep level's rows: one seed per pixel, classes interleaved
+        order = rng.permutation(k * 12)
+        rows = np.empty(k * 12)
+        rows[order] = eta_regions._seed_rows(
+            metric, pts.ravel()[order], np.repeat(pts[np.arange(12), seeds], k)[order])
+        rows = rows.reshape(12, k)
         for i, (row, seed) in enumerate(zip(rows, seeds)):
-            # a lockstep step's row is the seed's row over its whole class
+            # each is the seed's row over its whole class
             full = distance_row(metric, pts[i, seed], pts[i])
             assert row.tobytes() == full.tobytes()
             # a frontier level's row: an unsorted subset of the class, one seed
@@ -118,40 +123,71 @@ def test_eta_walk_computes_distances_only_at_its_frontier(monkeypatch):
     assert 0 < sum(evaluated) <= 900 * 4
 
 
-def test_lockstep_batches_keep_a_bounded_peak():
-    # 1000 classes of the gate size at 64 bands: one unbatched (classes, K,
-    # bands) seed-row block would take 8 MB, and the batches stay under 3 MB.
-    rng = np.random.default_rng(3)
-    cube = SpectralCube(rng.uniform(0.1, 1.0, size=(GATE, 1000, 64)))
+def test_lockstep_eta_computes_distances_only_at_its_frontier(monkeypatch):
+    # 1000 column classes of 16 pixels with eta below every step: each region
+    # is its seed alone, and each seed needs the distances to its at most two
+    # free class neighbours, not a row over the whole class
+    rng = np.random.default_rng(6)
+    cube = SpectralCube(rng.uniform(0.1, 1.0, size=(16, 1000, 8)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
-    flat = LabelMap(np.tile(np.arange(1000), (GATE, 1)))
-    pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
-    pipeline.ordering  # built before the peak is traced
-    for algo in ("eta", "mu"):
-        tracemalloc.start()
-        try:
-            out = pipeline.refine(algo, 1e18)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.count == 1000
-        assert peak < 3 << 20
+    edge_weights = build_edge_weights(metric)
+    flat = LabelMap(np.tile(np.arange(1000), (16, 1)))
+    pipeline = Pipeline(metric, edge_weights, flat, SeedOrder.MEDIAN_FIRST)
+    pipeline.ordering  # its distances are not the pass's
+    evaluated = []
+    norms = eta_regions._norms
+    monkeypatch.setattr(eta_regions, "_norms",
+                        lambda diff: evaluated.append(diff[..., 0].size) or norms(diff))
+    out = pipeline.refine("eta", edge_weights.weights.min() / 2)
+    assert out.count == 16000
+    assert 0 < sum(evaluated) <= 16000 * 4
+
+
+def test_lockstep_batches_keep_a_bounded_peak():
+    # column classes of 16 pixels at 64 bands, one region each. At 4000
+    # classes one eta level in a single (pixels, bands) distance block would
+    # take 4 MB, and the blocked steps stay under 3 MB.
+    for classes in (1000, 4000):
+        rng = np.random.default_rng(3)
+        cube = SpectralCube(rng.uniform(0.1, 1.0, size=(16, classes, 64)))
+        metric = build_metric(cube, MetricKind.EUCLIDEAN)
+        flat = LabelMap(np.tile(np.arange(classes), (16, 1)))
+        pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
+        pipeline.ordering  # built before the peak is traced
+        for algo in ("eta", "mu"):
+            tracemalloc.start()
+            try:
+                out = pipeline.refine(algo, 1e18)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.count == classes
+            assert peak < 3 << 20
 
 
 def test_grow_members_are_the_settled_set():
-    # a chain 0 - 1 - 2 - 3 with steps 1, 2, 0 and pixel 2 not allowed
-    nbl = np.array([[[4, 1], [0, 2], [1, 3], [2, 4]]])
-    w = np.array([[[np.inf, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, np.inf]]])
-    allowed = np.array([[True, True, False, True]])
+    # a chain 0 - 1 - 2 - 3 of one class with steps 1, 2, 0
+    neighbors = np.array([[-1, 1], [0, 2], [1, 3], [2, -1]], dtype=np.int32)
+    w = np.array([[np.inf, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, np.inf]])
 
-    def members(radius):
-        return growth._grow(nbl, w, allowed, np.array([0]), radius)[0].tolist()
+    def members(radius, owner=(0, 0, 0, 0), seed=0):
+        owner = np.array([*owner, -1], dtype=np.int32)
+        before = owner.copy()
+        edge_weights = EdgeWeights(Connectivity.FOUR, neighbors, w)
+        got = growth._relax(edge_weights, owner, np.array([seed]), radius, None)
+        # the region is taken from owner, and nothing else is
+        assert np.array_equal(owner < 0, (before < 0) | np.isin(np.arange(5), got))
+        return sorted(set(got.tolist()))
 
-    assert members(1.0) == [True, True, False, False]
-    allowed[0, 2] = True
+    assert members(1.0) == [0, 1]
     # inclusive radius: 1 + 2 = 3 and the zero step after it are both in
-    assert members(3.0) == [True] * 4
-    assert members(2.5) == [True, True, False, False]
+    assert members(3.0) == [0, 1, 2, 3]
+    assert members(2.5) == [0, 1]
+    # a taken pixel blocks the path, and a pixel of another class is not entered
+    assert members(np.inf, owner=(0, 0, -1, 0)) == [0, 1]
+    assert members(np.inf, owner=(0, 0, 0, 1)) == [0, 1, 2]
+    # a zero radius takes the zero step only
+    assert members(0.0, seed=2) == [2, 3]
     # an overflowing step sums to +inf: never reached, even at radius inf
-    w[0, 0, 1] = w[0, 1, 0] = np.inf
-    assert members(np.inf) == [True, False, False, False]
+    w[0, 1] = w[1, 0] = np.inf
+    assert members(np.inf) == [0]

@@ -163,9 +163,9 @@ def test_singleton_classes_skip_dijkstra(monkeypatch):
     ball = mu_balls._dijkstra_ball
     monkeypatch.setattr(mu_balls, "_dijkstra_ball",
                         lambda e, d, s, r: calls.append(s) or ball(e, d, s, r))
-    grow = growth._grow
-    monkeypatch.setattr(growth, "_grow",
-                        lambda n, w, a, s, r: calls.append(s.tolist()) or grow(n, w, a, s, r))
+    relax = growth._relax
+    monkeypatch.setattr(growth, "_relax",
+                        lambda e, o, s, r, a: calls.append(s.tolist()) or relax(e, o, s, r, a))
     cube = SpectralCube(np.arange(12, dtype=float).reshape(3, 4, 1))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     # class 0 is the top row; every other pixel is a class of its own
@@ -173,9 +173,9 @@ def test_singleton_classes_skip_dijkstra(monkeypatch):
     expected = [[0, 0, 0, 1], [2, 3, 4, 5], [6, 7, 8, 9]]
     pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
     out = pipeline.refine("mu", 1.5)
-    # class 0 in seed order is pixels 1, 2, 0, 3: it grows in lockstep from
-    # its first seed, then from its last (local positions 0 and 3)
-    assert calls == [[0], [3]]
+    # class 0 in seed order is pixels 1, 2, 0, 3: the first lockstep step
+    # seeds it at raster pixel 1, the second at its last free pixel, 3
+    assert calls == [[1], [3]]
     assert out.labels.tolist() == expected
     # above the gate it runs one search per seed, from raster pixels 1 and 3
     monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hsseg import (Connectivity, LabelMap, MetricKind, Pipeline, RegionSizeCapError,
                    SeedOrder, SpectralCube, build_edge_weights, build_metric,
                    order_classes, prepare, relabel_dense)
-from hsseg import growth, seeds
+from hsseg import eta_regions, growth, seeds
 from hsseg.seeds import class_orderings
 
 from conftest import cubes, region_seeds
@@ -231,8 +231,9 @@ def test_block_budget_and_gate_do_not_change_keys_or_labels(monkeypatch):
         return ordering.pixels.tolist(), keys, eta.labels.tolist(), mu.labels.tolist()
 
     batched = run()
-    # one class per block
+    # one class per ordering block, one pixel per eta distance block
     monkeypatch.setattr(seeds, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(eta_regions, "_BLOCK_BYTES", 1)
     assert run() == batched
     # no batches at all: every class through _cumdist and per-seed growth
     monkeypatch.setattr(seeds, "_COLLAPSE_MIN_PIXELS", 2)
@@ -240,10 +241,11 @@ def test_block_budget_and_gate_do_not_change_keys_or_labels(monkeypatch):
     assert run() == batched
 
 
-def test_small_class_batches_keep_a_bounded_peak():
+def test_small_class_batches_keep_a_bounded_peak(monkeypatch):
     # 1000 classes of 63 pixels at 64 bands: one unbatched (classes, K, K,
     # bands) block would take 2 GB; a batch of one class takes 2 MB. The eta
-    # pass reads these classes one seed row at a time, without any block.
+    # pass grows these classes in lockstep, its seed rows in blocks, and
+    # walked (gate 1) one seed row at a time, without any block.
     rng = np.random.default_rng(0)
     cube = SpectralCube(rng.uniform(0.1, 1.0, size=(63, 1000, 64)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
@@ -253,33 +255,37 @@ def test_small_class_batches_keep_a_bounded_peak():
     try:
         pipeline.ordering
         order_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        out = pipeline.refine("eta", 1e18)
-        eta_peak = tracemalloc.get_traced_memory()[1]
+        eta_peaks = []
+        for gate in (growth._LOCKSTEP_MAX_PIXELS, 1):
+            monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", gate)
+            tracemalloc.reset_peak()
+            assert pipeline.refine("eta", 1e18).count == 1000
+            eta_peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert out.count == 1000
     assert order_peak < 8 << 20
-    assert eta_peak < 3 << 20
+    assert max(eta_peaks) < 3 << 20
 
 
-def test_large_classes_keep_a_bounded_peak_in_the_mu_pass():
-    # the mu twin of the test above: the pass searches these classes one
-    # seed at a time, without any block
+def test_large_classes_keep_a_bounded_peak_in_the_mu_pass(monkeypatch):
+    # the mu twin of the test above: the pass relaxes these classes in
+    # lockstep, and walked (gate 1) searches them one seed at a time
     rng = np.random.default_rng(0)
     cube = SpectralCube(rng.uniform(0.1, 1.0, size=(63, 1000, 64)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     flat = LabelMap(np.tile(np.arange(1000), (63, 1)))
     pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
     pipeline.ordering  # built before the peak is traced
-    tracemalloc.start()
-    try:
-        out = pipeline.refine("mu", 1e18)
-        mu_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.count == 1000
-    assert mu_peak < 3 << 20
+    for gate in (growth._LOCKSTEP_MAX_PIXELS, 1):
+        monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", gate)
+        tracemalloc.start()
+        try:
+            out = pipeline.refine("mu", 1e18)
+            mu_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count == 1000
+        assert mu_peak < 3 << 20
 
 
 def test_repeated_spectra_take_one_distance_row_each(monkeypatch):
