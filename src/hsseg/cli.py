@@ -20,7 +20,7 @@ from .io import (HSC1_MAGIC, SegmentationReport, append_sweep_row, read_cube,
                  read_graymap_stack, read_label_values, write_cube,
                  write_labels, write_report)
 from .metrics import MetricKind
-from .pipeline import Pipeline, prepare
+from .pipeline import Pipeline, _check_nonneg, prepare
 from .seeds import SeedOrder
 from .synth import ToothSawSpec, tooth_saw_cube
 
@@ -47,11 +47,6 @@ exit codes:
 
 _METRICS = {"euclidean": MetricKind.EUCLIDEAN, "chi2": MetricKind.CHI_SQUARED}
 _ORDERS = {"median": SeedOrder.MEDIAN_FIRST, "antimedian": SeedOrder.ANTIMEDIAN_FIRST}
-
-
-def _check_nonneg(name: str, value: float | None) -> None:
-    if value is not None and (math.isnan(value) or value < 0):
-        raise ValueError(f"--{name} must be >= 0, got {value}")
 
 
 def _load_cube(paths) -> SpectralCube:
@@ -128,9 +123,8 @@ def parse_grid(text: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, values: list[float]) -> int:
     """One row per grid value; each row's millis is that value's pass alone."""
-    values = parse_grid(args.param_grid)
     pipeline = _pipeline(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -167,15 +161,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation, mapping errors to distinct exit codes."""
     try:
-        _check_nonneg("lambda", getattr(args, "lam", None))
-        _check_nonneg("eta", getattr(args, "eta", None))
-        _check_nonneg("mu", getattr(args, "mu", None))
+        grid = parse_grid(args.param_grid) if args.command == "sweep" else None
+        for name, value in (("lambda", getattr(args, "lam", None)),
+                            ("eta", getattr(args, "eta", None)),
+                            ("mu", getattr(args, "mu", None)),
+                            (getattr(args, "algo", None), grid[0] if grid else None)):
+            if value is not None:
+                _check_nonneg(name, value)
         if args.command == "synth":
             return _cmd_synth(args)
         if args.command in ("flat", "eta", "mu"):
             return _cmd_segment(args)
         if args.command == "sweep":
-            return _cmd_sweep(args)
+            return _cmd_sweep(args, grid)
         if args.command == "stats":
             return _cmd_stats(args)
         raise ValueError(f"unknown command {args.command!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import LabelMap
-from .growth import refine_classes
+from .growth import _distinct, refine_classes
 from .metrics import EdgeWeights, SpectralMetric, _norms
 from .seeds import _BLOCK_BYTES, ClassOrdering
 
@@ -26,32 +26,45 @@ def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat:
     class, then seed by seed). A seed always accepts itself since its self
     distance is 0 <= eta, so every pixel ends up assigned. `edge_weights`
     is the neighbour table of the run, and `ordering`, from `order_classes`
-    on `flat`, gives the seeds. In small classes, which step together (see
-    `growth`), and in larger ones a region grows one breadth-first level at a
-    time, computing distances to the seed only for the free pixels reached.
+    on `flat`, gives the seeds. `step` grows one region in every small class
+    at once and `region` one seed's region in a larger class (see `growth`).
+    Both grow one breadth-first level at a time, computing distances to the
+    seed only for the free class pixels a level reaches.
     """
     neighbors = edge_weights.neighbors
     rows = max(1, _BLOCK_BYTES // (8 * metric.bands))
 
-    def region(seed: int, free: np.ndarray) -> np.ndarray:
+    def step(owner: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        # seed rows in _BLOCK_BYTES blocks; seed_of maps a class to its seed
+        seed_of = np.empty(owner[seeds].max() + 1, dtype=owner.dtype)
+        seed_of[owner[seeds]] = seeds
+        front, members = seeds, []
+        while len(front):
+            cls = owner[front]
+            owner[front] = -1
+            members.append(front)
+            nb = neighbors[front]
+            nb = _distinct(nb[owner[nb] == cls[:, None]])
+            near = seed_of[owner[nb]]
+            keep = [_seed_rows(metric, nb[b:b + rows], near[b:b + rows]) <= eta
+                    for b in range(0, len(nb), rows)]
+            front = nb[np.concatenate(keep)] if keep else nb
+        return np.concatenate(members)
+
+    def region(seed: int, owner: np.ndarray) -> np.ndarray:
+        cls = owner[seed]
+        owner[seed] = -1
         reached, level = [np.array([seed])], neighbors[seed]
-        free[seed] = False
-        while len(level := level[free[level]]):
+        while len(level := level[owner[level] == cls]):
             level = level[_seed_rows(metric, level, seed) <= eta]
             if not len(level):
                 break
-            free[level] = False
+            owner[level] = -1
             reached.append(level)
-            # each pixel once: a sort, as np.unique would import numpy.ma
-            level = np.sort(neighbors[level], axis=None)
-            level = level[np.concatenate(([True], level[1:] != level[:-1]))]
+            level = _distinct(neighbors[level])
         return np.concatenate(reached)
 
-    def admit(pts: np.ndarray, seeds: np.ndarray) -> np.ndarray:  # in _BLOCK_BYTES blocks
-        return np.concatenate([_seed_rows(metric, pts[b:b + rows], seeds[b:b + rows]) <= eta
-                               for b in range(0, len(pts), rows)])
-
-    return refine_classes(flat, ordering, edge_weights, region, admit=admit)
+    return refine_classes(flat, ordering, step, region)
 
 
 def _seed_rows(metric: SpectralMetric, pts: np.ndarray, seeds: np.ndarray | int) -> np.ndarray:

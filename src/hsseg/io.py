@@ -43,7 +43,7 @@ def write_cube(cube: SpectralCube, path, *, dtype: str = "float64") -> None:
 
 
 def read_cube(path) -> SpectralCube:
-    """Read an HSC1 cube; exact inverse of write_cube."""
+    """Read an HSC1 cube; exact inverse of write_cube. Every sample must be finite."""
     buf = Path(path).read_bytes()
     if len(buf) < _HEADER.size:
         raise TruncatedFileError(
@@ -72,6 +72,11 @@ def read_cube(path) -> SpectralCube:
             f"at offset {_HEADER.size + expected}"
         )
     data = np.frombuffer(buf, dtype=dt, count=width * height * bands, offset=_HEADER.size)
+    finite = np.isfinite(data)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise CubeFormatError(
+            f"{path}: non-finite sample {data[k]} at byte {_HEADER.size + k * dt.itemsize}")
     # SpectralCube makes the one float64 copy
     return SpectralCube(data.reshape(height, width, bands))
 

@@ -17,21 +17,24 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .grid import LabelMap
-from .growth import refine_classes
+from .growth import _distinct, refine_classes
 from .metrics import EdgeWeights
 from .seeds import ClassOrdering
 
 
-def _dijkstra_ball(edge_weights: EdgeWeights, in_domain: np.ndarray,
+def _dijkstra_ball(edge_weights: EdgeWeights, owner: np.ndarray,
                    seed: int, radius: float) -> dict[int, float]:
     """Flat-index pixels within geodesic radius of the seed, with distances.
 
-    Lazy-deletion heap; stale entries are skipped when popped. Heap entries
-    are (distance, raster index), so equal-priority pops break on raster
-    order and zero-weight plateaus resolve deterministically. An off-grid
-    entry (-1) weighs +inf, never below `best`'s default, so it is never pushed.
+    The search enters only pixels whose owner is the seed's, the free pixels
+    of its class. Lazy-deletion heap; stale entries are skipped when popped.
+    Heap entries are (distance, raster index), so equal-priority pops break
+    on raster order and zero-weight plateaus resolve deterministically. Pops
+    never decrease, so no later sum is below a settled pixel's `best`, and an
+    off-grid entry (-1) weighs +inf, never below `best`'s default: neither is pushed.
     """
     neighbors, weights = edge_weights.neighbors, edge_weights.weights
+    cls = owner[seed]
     settled: dict[int, float] = {}
     best = {seed: 0.0}
     heap = [(0.0, seed)]
@@ -41,10 +44,8 @@ def _dijkstra_ball(edge_weights: EdgeWeights, in_domain: np.ndarray,
             continue
         settled[i] = d
         for j, weight in zip(neighbors[i].tolist(), weights[i].tolist()):
-            if not in_domain[j] or j in settled:
-                continue
             nd = d + weight
-            if nd <= radius and nd < best.get(j, math.inf):
+            if nd <= radius and nd < best.get(j, math.inf) and owner[j] == cls:
                 best[j] = nd
                 heappush(heap, (nd, j))
     return settled
@@ -57,10 +58,38 @@ def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: Class
     The output refines `flat`; labels follow extraction order. The seed is
     always reachable at distance 0, so every class is fully covered.
     `edge_weights` is the neighbour table of the run, and `ordering`, from
-    `order_classes` on `flat`, gives the seeds. Small classes step together
-    by one min-plus relaxation (see `growth`); in a larger class each seed
-    still free takes one `_dijkstra_ball` over the class's free pixels.
+    `order_classes` on `flat`, gives the seeds. `step` grows one ball in
+    every small class at once and `region` one `_dijkstra_ball` in a larger
+    class (see `growth`). Float addition is monotone and weights are >= 0, so
+    the least fixed point of step's min-plus relaxation holds the least
+    left-fold path sums: the pixels a Dijkstra search settles within mu.
     """
-    return refine_classes(flat, ordering, edge_weights,
-                          lambda seed, free: list(_dijkstra_ball(edge_weights, free, seed, mu)),
-                          radius=mu)
+    neighbors, weights = edge_weights.neighbors, edge_weights.weights
+
+    def step(owner: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        # a pixel not reached sits just above mu, so one comparison bounds a
+        # path sum and asks whether it drops; a sum that overflowed (+inf) never does
+        dist = np.full(owner.size, math.nextafter(mu, math.inf))
+        dist[seeds] = 0.0
+        front, members = seeds, [seeds]
+        while len(front):
+            nb = neighbors[front]
+            keep = owner[nb] == owner[front][:, None]
+            cand = weights[front]
+            cand += dist[front][:, None]
+            nb, cand = nb[keep], cand[keep]
+            keep = cand < dist[nb]
+            nb = nb[keep]
+            np.minimum.at(dist, nb, cand[keep])
+            front = _distinct(nb)
+            members.append(front)
+        members = np.concatenate(members)
+        owner[members] = -1
+        return members
+
+    def region(seed: int, owner: np.ndarray) -> list[int]:
+        members = list(_dijkstra_ball(edge_weights, owner, seed, mu))
+        owner[members] = -1
+        return members
+
+    return refine_classes(flat, ordering, step, region)

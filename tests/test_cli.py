@@ -165,6 +165,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert run_cli("sweep", "--algo", "eta", "--input", saw, "--lambda", 10,
                    "--param", "0:1:1e-300", "--outdir", tmp_path) == 2
     assert f"1e+300 values, above the cap of {MAX_GRID_VALUES}" in capsys.readouterr().err
+    # a grid starting below 0 is a usage error before any work: no out dir
+    for algo in ("eta", "mu"):
+        out = tmp_path / f"neg-{algo}"
+        assert run_cli("sweep", "--algo", algo, "--input", saw, "--lambda", 10,
+                       "--param=-1:1:1", "--outdir", out) == 2
+        assert f"error: {algo} must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
     # unreadable format
     bad = tmp_path / "bad.hsc"
     bad.write_bytes(b"XXXXXXXXXXXXXXXXXXXXX")
@@ -179,6 +186,26 @@ def test_error_exit_codes(tmp_path, capsys):
         assert run_cli(*command) == 3
         assert (f"error: {trunc}: payload expects 14112 bytes at offset 17, found 13"
                 in capsys.readouterr().err)
+    # a non-finite sample is a format error naming the file and the offset of
+    # the first one, for every command that reads a cube
+    nonfinite = tmp_path / "nonfinite.hsc"
+    blob = bytearray(saw.read_bytes())
+    blob[17 + 8 * 5:17 + 8 * 6] = np.array([np.nan]).tobytes()
+    blob[17 + 8 * 9:17 + 8 * 10] = np.array([np.inf]).tobytes()
+    nonfinite.write_bytes(bytes(blob))
+    capsys.readouterr()
+    for command in (("flat", "--input", nonfinite, "--lambda", 1),
+                    ("eta", "--input", nonfinite, "--lambda", 1, "--eta", 1),
+                    ("mu", "--input", nonfinite, "--lambda", 1, "--mu", 1),
+                    ("sweep", "--algo", "mu", "--input", nonfinite, "--lambda", 1,
+                     "--param", "0:1:1")):
+        assert run_cli(*command, "--outdir", tmp_path / "nf") == 3
+        assert f"error: {nonfinite}: non-finite sample nan at byte 57" in capsys.readouterr().err
+    label_cube = tmp_path / "labels.hsc"
+    label_cube.write_bytes(b"HSC1" + np.array([2, 1, 1], "<u4").tobytes() + b"\x02"
+                           + np.array([0.0, -np.inf]).tobytes())
+    assert run_cli("stats", label_cube) == 3
+    assert f"error: {label_cube}: non-finite sample -inf at byte 25" in capsys.readouterr().err
     # missing file
     assert run_cli("flat", "--input", tmp_path / "nope.hsc", "--lambda", 1,
                    "--outdir", tmp_path) == 6

@@ -115,15 +115,17 @@ def test_params_validation(tooth_setup):
 
 def test_singleton_classes_skip_distances(monkeypatch):
     # every distance of the ordering and of the pass, and every lockstep
-    # growth, goes through these names
+    # step the pass hands to refine_classes, goes through these names
     calls = []
-    spied = ((seeds, ("pair_distances", "_norms")), (eta_regions, ("_norms",)),
-             (growth, ("_relax",)))
+    spied = ((seeds, ("pair_distances", "_norms")), (eta_regions, ("_norms",)))
     for module, names in spied:
         for name in names:
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, name=name, fn=fn:
                                 calls.append(name) or fn(*a))
+    refine = eta_regions.refine_classes
+    monkeypatch.setattr(eta_regions, "refine_classes", lambda flat, ordering, step, region: refine(
+        flat, ordering, lambda o, s: calls.append("step") or step(o, s), region))
     rng = np.random.default_rng(2)
     cube = SpectralCube(rng.uniform(0, 1, size=(3, 4, 2)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
@@ -138,15 +140,15 @@ def test_singleton_classes_skip_distances(monkeypatch):
     assert calls == []
     assert np.array_equal(out.labels, flat.labels)
     # the spies see a class of two pixels: one block in the ordering, then one
-    # relaxation per step of the pass, and one seed row per free class pixel
+    # lockstep step per region, and one seed row per free class pixel
     # its frontier reaches: at eta 0 the first seed reaches its partner and
     # rejects it, and the partner reaches none
     flat = relabel_dense(np.array([[0, 0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10]]))
     out = eta_zero(flat)
-    assert calls == ["pair_distances", "_norms"] + ["_relax", "_norms", "_relax"]
+    assert calls == ["pair_distances", "_norms"] + ["step", "_norms", "step"]
     assert out.count == 12
     # above the gate a region takes one distance row per breadth-first level
-    # that reaches a free pixel, and no relaxation: at eta 0 the first seed's
+    # that reaches a free pixel, and no lockstep step: at eta 0 the first seed's
     # level reaches its partner and rejects it, and the partner's reaches none
     monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
     calls.clear()

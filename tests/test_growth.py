@@ -5,7 +5,7 @@ import pytest
 
 from hsseg import (Connectivity, EdgeWeights, LabelMap, MetricKind, Pipeline, SeedOrder,
                    SpectralCube, build_edge_weights, build_metric)
-from hsseg import eta_regions, growth
+from hsseg import eta_regions, growth, mu_balls
 
 from conftest import distance_row
 from oracles import eta_regions_bruteforce, mu_balls_bruteforce
@@ -65,6 +65,39 @@ def test_lockstep_matches_oracles_and_per_seed_path(k, conn, monkeypatch):
             for got, seed_by_seed, want in zip(lockstep, per_seed, expected):
                 assert np.array_equal(got, want)
                 assert np.array_equal(seed_by_seed, want)
+
+
+def _mixed_partition():
+    """One 200-pixel class above rows of classes of 1 to 20 pixels, on a 20x16 grid."""
+    rows = [[20], [2, 3, 5, 10], [1, 1, 1, 1, 4, 6, 6], [7, 13], [1] * 20, [15, 5]]
+    labels = np.zeros((10 + len(rows), 20), dtype=np.int32)
+    c = 1
+    for y, runs in enumerate(rows, 10):
+        for x, n in zip(np.cumsum([0, *runs[:-1]]), runs):
+            labels[y, x:x + n] = c
+            c += 1
+    return LabelMap(labels)
+
+
+@pytest.mark.parametrize("conn", list(Connectivity))
+@pytest.mark.parametrize("order", list(SeedOrder))
+def test_one_pass_steps_small_classes_and_walks_a_large_one(conn, order):
+    # both paths share one owner array in one pass: the walked class enters
+    # it only after the lockstep has drained
+    flat = _mixed_partition()
+    sizes = np.bincount(flat.labels.ravel())
+    assert sizes.max() > GATE and set(range(1, 8)) <= set(sizes.tolist())
+    rng = np.random.default_rng(16)
+    cube = SpectralCube(rng.integers(1, 4, size=(16, 20, 2)).astype(float))
+    metric = build_metric(cube, MetricKind.EUCLIDEAN)
+    pipeline = Pipeline(metric, build_edge_weights(metric, conn), flat, order)
+    anti = order is SeedOrder.ANTIMEDIAN_FIRST
+    for eta in ETAS:
+        want = eta_regions_bruteforce(cube, MetricKind.EUCLIDEAN, flat, eta, anti, conn)[0]
+        assert np.array_equal(pipeline.refine("eta", eta).labels, want.labels)
+    for mu in (1.5, *MUS[1:]):  # mu 0 takes the Bellman-Ford oracle seconds here
+        want = mu_balls_bruteforce(cube, MetricKind.EUCLIDEAN, flat, mu, anti, conn)[0]
+        assert np.array_equal(pipeline.refine("mu", mu).labels, want.labels)
 
 
 @pytest.mark.parametrize("bands", [1, 7, 8, 9, 16, 33, 128, 129])
@@ -165,19 +198,34 @@ def test_lockstep_batches_keep_a_bounded_peak():
             assert peak < 3 << 20
 
 
-def test_grow_members_are_the_settled_set():
+def _mu_traversals(edge_weights, mu, monkeypatch):
+    """The mu pass's (step, region) at radius mu, as it hands them to refine_classes."""
+    got = []
+    monkeypatch.setattr(mu_balls, "refine_classes",
+                        lambda flat, ordering, step, region: got.append((step, region)))
+    mu_balls.mu_geodesic_balls(edge_weights, None, None, mu)
+    return got[0]
+
+
+def test_grow_members_are_the_settled_set(monkeypatch):
     # a chain 0 - 1 - 2 - 3 of one class with steps 1, 2, 0
     neighbors = np.array([[-1, 1], [0, 2], [1, 3], [2, -1]], dtype=np.int32)
     w = np.array([[np.inf, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, np.inf]])
+    edge_weights = EdgeWeights(Connectivity.FOUR, neighbors, w)
 
     def members(radius, owner=(0, 0, 0, 0), seed=0):
-        owner = np.array([*owner, -1], dtype=np.int32)
-        before = owner.copy()
-        edge_weights = EdgeWeights(Connectivity.FOUR, neighbors, w)
-        got = growth._relax(edge_weights, owner, np.array([seed]), radius, None)
-        # the region is taken from owner, and nothing else is
-        assert np.array_equal(owner < 0, (before < 0) | np.isin(np.arange(5), got))
-        return sorted(set(got.tolist()))
+        # the lockstep step and the walk's region agree
+        step, region = _mu_traversals(edge_weights, radius, monkeypatch)
+        grown = []
+        for grow in (lambda o: step(o, np.array([seed])), lambda o: region(seed, o)):
+            o = np.array([*owner, -1], dtype=np.int32)
+            before = o.copy()
+            got = np.asarray(grow(o))
+            # the region is taken from owner, and nothing else is
+            assert np.array_equal(o < 0, (before < 0) | np.isin(np.arange(5), got))
+            grown.append(sorted(set(got.tolist())))
+        assert grown[0] == grown[1]
+        return grown[0]
 
     assert members(1.0) == [0, 1]
     # inclusive radius: 1 + 2 = 3 and the zero step after it are both in

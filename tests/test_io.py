@@ -57,6 +57,27 @@ def test_trailing_bytes_rejected(tmp_path):
         read_cube(path)
 
 
+@pytest.mark.parametrize("dtype, size", [("<f8", 8), ("<f4", 4)])
+def test_non_finite_sample_is_a_format_error(tmp_path, dtype, size):
+    # a 2x3 cube of 2 bands: the message names the file and the first
+    # non-finite sample's byte offset, 17 + index * itemsize
+    import struct
+    path = tmp_path / "nf.hsc"
+    for bad, first in (((5,), 5), ((7, 3), 3), ((11,), 11), ((0, 11), 0)):
+        for value in (np.nan, np.inf, -np.inf):
+            data = np.arange(12, dtype=dtype)
+            data[list(bad)] = value
+            code = 2 if size == 8 else 1
+            path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 3, 2, 2, code) + data.tobytes())
+            with pytest.raises(CubeFormatError,
+                               match=rf"nf\.hsc: non-finite sample -?(nan|inf) at byte "
+                                     rf"{17 + first * size}$"):
+                read_cube(path)
+            # a label cube is read the same way
+            with pytest.raises(CubeFormatError, match="non-finite sample"):
+                read_label_values(path)
+
+
 def test_zero_dims_and_short_header(tmp_path):
     path = tmp_path / "z.hsc"
     import struct

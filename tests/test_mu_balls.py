@@ -20,11 +20,11 @@ def chain_cube():
 def dijkstra_ball(metric, domain, seed, mu, connectivity=Connectivity.FOUR):
     """`_dijkstra_ball` on a domain of (x, y) pixels: {pixel: geodesic distance}."""
     w = metric.width
-    in_domain = np.zeros(metric.pixel_count, dtype=bool)
+    owner = np.full(metric.pixel_count + 1, -1, dtype=np.int32)  # the domain is class 0
     for x, y in domain:
-        in_domain[y * w + x] = True
+        owner[y * w + x] = 0
     ball = mu_balls._dijkstra_ball(build_edge_weights(metric, connectivity),
-                                   in_domain, seed[1] * w + seed[0], mu)
+                                   owner, seed[1] * w + seed[0], mu)
     return {PixelIndex(i % w, i // w): d for i, d in ball.items()}
 
 
@@ -51,7 +51,13 @@ def test_ball_respects_domain_restriction():
     # removing the middle pixel cuts the chain
     domain = [(0, 0), (1, 0), (3, 0), (4, 0)]
     ball = dijkstra_ball(m, domain, (0, 0), 100.0)
-    assert set(ball) == {(0, 0), (1, 0)}
+    assert ball == {PixelIndex(0, 0): 0.0, PixelIndex(1, 0): 10.0}
+    # a pixel of another class cuts it the same way, and a seed of that
+    # class searches only its own
+    owner = np.array([0, 0, 1, 0, 0, -1], dtype=np.int32)
+    edge_weights = build_edge_weights(m)
+    assert mu_balls._dijkstra_ball(edge_weights, owner, 0, 100.0) == {0: 0.0, 1: 10.0}
+    assert mu_balls._dijkstra_ball(edge_weights, owner, 2, 100.0) == {2: 0.0}
 
 
 @given(cubes(max_side=8), st.floats(0.0, 2.5), st.sampled_from(list(Connectivity)),
@@ -163,9 +169,9 @@ def test_singleton_classes_skip_dijkstra(monkeypatch):
     ball = mu_balls._dijkstra_ball
     monkeypatch.setattr(mu_balls, "_dijkstra_ball",
                         lambda e, d, s, r: calls.append(s) or ball(e, d, s, r))
-    relax = growth._relax
-    monkeypatch.setattr(growth, "_relax",
-                        lambda e, o, s, r, a: calls.append(s.tolist()) or relax(e, o, s, r, a))
+    refine = mu_balls.refine_classes
+    monkeypatch.setattr(mu_balls, "refine_classes", lambda flat, ordering, step, region: refine(
+        flat, ordering, lambda o, s: calls.append(s.tolist()) or step(o, s), region))
     cube = SpectralCube(np.arange(12, dtype=float).reshape(3, 4, 1))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     # class 0 is the top row; every other pixel is a class of its own
