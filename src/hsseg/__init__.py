@@ -14,27 +14,26 @@ from .eta_regions import eta_bounded_regions
 from .flatzones import lambda_flat_zones
 from .grid import (Connectivity, LabelMap, SpectralCube, region_sizes,
                    relabel_dense)
-from .io import (SegmentationReport, append_sweep_row, read_cube,
+from .io import (SegmentationReport, append_sweep_row, load_cube, read_cube,
                  read_graymap_stack, read_labels, write_cube, write_labels,
                  write_report)
 from .metrics import (EdgeWeights, MetricKind, SpectralMetric,
                       build_edge_weights, build_metric)
 from .mu_balls import mu_geodesic_balls
 from .pipeline import Pipeline, prepare
-from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, order_classes
-from .synth import ToothSawSpec, tooth_saw_cube
+from .seeds import ClassOrdering, SeedOrder, order_classes
+from .synth import tooth_saw_cube
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BadHeaderError", "BadMagicError", "ClassOrdering", "Connectivity",
-    "CubeFormatError", "DEFAULT_REGION_CAP", "DegenerateMarginalError",
-    "EdgeWeights", "HssegError", "LabelMap", "MetricKind", "Pipeline",
-    "RegionSizeCapError", "SeedOrder", "SegmentationReport", "SpectralCube",
-    "SpectralMetric", "TruncatedFileError", "ToothSawSpec", "append_sweep_row",
-    "build_edge_weights", "build_metric", "eta_bounded_regions",
-    "lambda_flat_zones", "mu_geodesic_balls", "order_classes", "prepare",
-    "read_cube", "read_graymap_stack", "read_labels", "region_sizes",
-    "relabel_dense", "tooth_saw_cube", "write_cube", "write_labels",
-    "write_report",
+    "CubeFormatError", "DegenerateMarginalError", "EdgeWeights",
+    "HssegError", "LabelMap", "MetricKind", "Pipeline", "RegionSizeCapError",
+    "SeedOrder", "SegmentationReport", "SpectralCube", "SpectralMetric",
+    "TruncatedFileError", "append_sweep_row", "build_edge_weights",
+    "build_metric", "eta_bounded_regions", "lambda_flat_zones", "load_cube",
+    "mu_geodesic_balls", "order_classes", "prepare", "read_cube",
+    "read_graymap_stack", "read_labels", "region_sizes", "relabel_dense",
+    "tooth_saw_cube", "write_cube", "write_labels", "write_report",
 ]

@@ -15,62 +15,51 @@ import time
 from pathlib import Path
 
 from .errors import CubeFormatError, DegenerateMarginalError, RegionSizeCapError
-from .grid import Connectivity, SpectralCube, region_sizes, relabel_dense
-from .io import (HSC1_MAGIC, SegmentationReport, append_sweep_row, read_cube,
-                 read_graymap_stack, read_label_values, write_cube,
-                 write_labels, write_report)
+from .grid import Connectivity, LabelMap, region_sizes, relabel_dense
+from .io import (SegmentationReport, append_sweep_row, label_format, load_cube,
+                 read_label_values, write_cube, write_labels, write_report)
 from .metrics import MetricKind
 from .pipeline import Pipeline, _check_nonneg, prepare
 from .seeds import SeedOrder
-from .synth import ToothSawSpec, tooth_saw_cube
+from .synth import tooth_saw_cube
 
-EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_USAGE = 2
-EXIT_FORMAT = 3
-EXIT_MARGINAL = 4
-EXIT_REGION_CAP = 5
-EXIT_IO = 6
+# (exception types, exit code, meaning): a failure exits with the code of the
+# first row whose types it is an instance of. The --help epilog lists the rows
+# by code; success, the empty tuple, matches no failure.
+EXIT_CODES = (
+    ((), 0, "success"),
+    (DegenerateMarginalError, 4, "degenerate chi-squared marginal"),
+    (RegionSizeCapError, 5, "region above the size cap"),
+    (CubeFormatError, 3, "unreadable cube or label file format"),
+    (ValueError, 2, "usage or validation error"),
+    (OSError, 6, "file system error"),
+    (Exception, 1, "unexpected failure"),
+)
 
 MAX_GRID_VALUES = 10_000
 
-_EXIT_CODES = """\
-exit codes:
-  0  success
-  1  unexpected failure
-  2  usage or validation error
-  3  unreadable cube or label file format
-  4  degenerate chi-squared marginal
-  5  region above the size cap
-  6  file system error
-"""
-
 _METRICS = {"euclidean": MetricKind.EUCLIDEAN, "chi2": MetricKind.CHI_SQUARED}
 _ORDERS = {"median": SeedOrder.MEDIAN_FIRST, "antimedian": SeedOrder.ANTIMEDIAN_FIRST}
-
-
-def _load_cube(paths) -> SpectralCube:
-    if not paths:
-        raise ValueError("no input file given")
-    if len(paths) > 1:
-        return read_graymap_stack(paths)
-    with open(paths[0], "rb") as fh:
-        head = fh.read(4)
-    if head[:4] == HSC1_MAGIC:
-        return read_cube(paths[0])
-    if head[:2] in (b"P5", b"P2"):
-        return read_graymap_stack(paths)
-    raise CubeFormatError(f"{paths[0]}: unrecognized input format {head!r}")
+_LABEL_FILES = {"p5": "labels.pgm", "hsc1": "labels.hsc"}
 
 
 def _pipeline(args: argparse.Namespace) -> Pipeline:
     """Load the cube and build the run's pipeline; flat runs have no seed order."""
-    return prepare(_load_cube(args.inputs), _METRICS[args.metric], args.lam,
+    return prepare(load_cube(args.inputs), _METRICS[args.metric], args.lam,
                    Connectivity(args.connectivity), _ORDERS.get(args.seed_order))
 
 
-def _segment(args: argparse.Namespace):
-    """Run the pass named by args.command and return (labels, report).
+def _report(args: argparse.Namespace, algorithm: str, param: float | None,
+            labels: LabelMap, started: float) -> SegmentationReport:
+    """The run's report of labels; its millis runs from started to now."""
+    millis = (time.perf_counter() - started) * 1000.0
+    return SegmentationReport.from_labels(
+        labels, algorithm=algorithm, metric=args.metric, lam=args.lam, param=param,
+        connectivity=args.connectivity, seed_order=args.seed_order, millis=millis)
+
+
+def _cmd_segment(args: argparse.Namespace) -> None:
+    """Run the pass named by args.command and write its labels and report.
 
     The report's millis covers the whole run up to the labels: load, metric
     build, edge weights, flat zones, seed ordering and the pass.
@@ -82,24 +71,18 @@ def _segment(args: argparse.Namespace):
     else:
         param = getattr(args, args.command)
         labels = pipeline.refine(args.command, param)
-    millis = (time.perf_counter() - started) * 1000.0
-    report = SegmentationReport.from_labels(
-        labels, algorithm=args.command, metric=args.metric, lam=args.lam, param=param,
-        connectivity=args.connectivity, seed_order=args.seed_order, millis=millis)
-    return labels, report
-
-
-def _cmd_segment(args: argparse.Namespace) -> int:
-    labels, report = _segment(args)
+    # the metric, neighbour table and ordering are not needed for writing, and
+    # kept alive they would add their size to the run's peak memory
+    del pipeline
+    report = _report(args, args.command, param, labels, started)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    label_path = outdir / ("labels.pgm" if labels.count <= 65536 else "labels.hsc")
-    fmt = write_labels(labels, label_path)
+    fmt = label_format(labels)
+    write_labels(labels, outdir / _LABEL_FILES[fmt])
     extra = [] if fmt == "p5" else [f"labels_format: {fmt}"]
     write_report(report, outdir / "report.txt", extra=extra)
     append_sweep_row(report, outdir / "sweep.csv")
     print(f"regions: {report.regions}")
-    return EXIT_OK
 
 
 def parse_grid(text: str) -> list[float]:
@@ -123,43 +106,34 @@ def parse_grid(text: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _cmd_sweep(args: argparse.Namespace, values: list[float]) -> int:
+def _cmd_sweep(args: argparse.Namespace, values: list[float]) -> None:
     """One row per grid value; each row's millis is that value's pass alone."""
     pipeline = _pipeline(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "sweep.csv"
     for value in values:
         started = time.perf_counter()
         labels = pipeline.refine(args.algo, value)
-        millis = (time.perf_counter() - started) * 1000.0
-        report = SegmentationReport.from_labels(
-            labels, algorithm=args.algo, metric=args.metric, lam=args.lam, param=value,
-            connectivity=args.connectivity, seed_order=args.seed_order, millis=millis)
-        append_sweep_row(report, csv_path)
+        report = _report(args, args.algo, value, labels, started)
+        append_sweep_row(report, outdir / "sweep.csv")
         print(f"{args.algo} {value:g}: regions={report.regions}")
-    return EXIT_OK
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = ToothSawSpec(width=args.width, height=args.height, bands=args.bands,
-                        step=args.step, teeth=args.teeth, constant_value=args.constant)
-    cube = tooth_saw_cube(spec)
+def _cmd_synth(args: argparse.Namespace) -> None:
+    cube = tooth_saw_cube(width=args.width, height=args.height, bands=args.bands,
+                          step=args.step, teeth=args.teeth, constant_value=args.constant)
     write_cube(cube, args.out)
     print(f"wrote {args.out} ({cube.width}x{cube.height}x{cube.bands})")
-    return EXIT_OK
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    values = read_label_values(args.labels_path)
-    labels = relabel_dense(values)
+def _cmd_stats(args: argparse.Namespace) -> None:
+    labels = relabel_dense(read_label_values(args.labels_path))
     print(f"regions: {labels.count}")
     print("region_sizes: " + " ".join(map(str, region_sizes(labels).tolist())))
-    return EXIT_OK
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed invocation, mapping errors to distinct exit codes."""
+    """Execute one parsed invocation; a failure exits with its EXIT_CODES code."""
     try:
         grid = parse_grid(args.param_grid) if args.command == "sweep" else None
         for name, value in (("lambda", getattr(args, "lam", None)),
@@ -169,32 +143,19 @@ def run(args: argparse.Namespace) -> int:
             if value is not None:
                 _check_nonneg(name, value)
         if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command in ("flat", "eta", "mu"):
-            return _cmd_segment(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args, grid)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        raise ValueError(f"unknown command {args.command!r}")
-    except DegenerateMarginalError as exc:
+            _cmd_synth(args)
+        elif args.command in ("flat", "eta", "mu"):
+            _cmd_segment(args)
+        elif args.command == "sweep":
+            _cmd_sweep(args, grid)
+        elif args.command == "stats":
+            _cmd_stats(args)
+        else:
+            raise ValueError(f"unknown command {args.command!r}")
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MARGINAL
-    except RegionSizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGION_CAP
-    except CubeFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Exception as exc:  # pragma: no cover - last resort diagnostics
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        return next(code for types, code, _ in EXIT_CODES if isinstance(exc, types))
+    return 0
 
 
 def _add_common(parser, *, seeds: bool) -> None:
@@ -214,11 +175,12 @@ def _add_common(parser, *, seeds: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    codes = sorted(EXIT_CODES, key=lambda row: row[1])
     parser = argparse.ArgumentParser(
         prog="hsseg",
         description="Top-down hyperspectral segmentation: flat zones plus "
                     "amplitude-bounded or geodesic refinement.",
-        epilog=_EXIT_CODES,
+        epilog="exit codes:\n" + "".join(f"  {code}  {meaning}\n" for _, code, meaning in codes),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

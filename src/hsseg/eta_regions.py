@@ -33,10 +33,10 @@ def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat:
     """
     neighbors = edge_weights.neighbors
     rows = max(1, _BLOCK_BYTES // (8 * metric.bands))
+    seed_of = np.empty(flat.count, dtype=np.int32)  # of a stepped class, its seed
 
     def step(owner: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        # seed rows in _BLOCK_BYTES blocks; seed_of maps a class to its seed
-        seed_of = np.empty(owner[seeds].max() + 1, dtype=owner.dtype)
+        # seed rows in _BLOCK_BYTES blocks
         seed_of[owner[seeds]] = seeds
         front, members = seeds, []
         while len(front):

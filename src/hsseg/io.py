@@ -3,10 +3,12 @@
 Cube files use a minimal self-describing binary layout: the ASCII magic
 "HSC1", then width, height and bands as unsigned 32-bit little-endian
 integers, one sample-type byte (1 = float32, 2 = float64), and the payload
-as little-endian floats, band-interleaved by pixel in raster order. Label
-maps go out as 16-bit binary portable graymaps (P5, maxval 65535) while
-they fit, falling back to a single-band HSC1 cube otherwise. Reports are
-one-line-per-field text plus an appendable CSV row for sweep curves.
+as little-endian floats, band-interleaved by pixel in raster order. An
+input is one HSC1 cube or a stack of P5/P2 graymaps, one band per file;
+the first bytes of a file decide which. Label maps go out as 16-bit binary
+portable graymaps (P5, maxval 65535) while they fit, falling back to a
+single-band HSC1 cube otherwise. Reports are one-line-per-field text plus
+an appendable CSV row for sweep curves.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import BadHeaderError, BadMagicError, CubeFormatError, TruncatedFil
 from .grid import LabelMap, SpectralCube, region_sizes
 
 HSC1_MAGIC = b"HSC1"
+_GRAYMAP_MAGICS = (b"P5", b"P2")
 _HEADER = struct.Struct("<4sIIIB")
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_OF = {"float32": 1, "float64": 2}
@@ -111,7 +114,7 @@ def _token_offset(buf: bytes, pos: int, k: int) -> int:
 def _read_graymap(path) -> tuple[int, int, np.ndarray]:
     buf = Path(path).read_bytes()
     magic, pos = _next_token(buf, 0, path)
-    if magic not in (b"P5", b"P2"):
+    if magic not in _GRAYMAP_MAGICS:
         raise BadMagicError(f"{path}: bad magic {magic!r} at byte 0, expected P5 or P2")
     fields, starts = [], []
     for _ in range(3):
@@ -187,15 +190,45 @@ def read_graymap_stack(paths) -> SpectralCube:
     return SpectralCube(np.stack(bands, axis=-1))
 
 
+def _head(path) -> bytes:
+    """The first four bytes of a file, where every format here has its magic."""
+    with open(path, "rb") as fh:
+        return fh.read(4)
+
+
+def load_cube(paths) -> SpectralCube:
+    """The cube of one HSC1 file, or of one or more P5/P2 graymaps stacked by band."""
+    if not paths:
+        raise ValueError("no input file given")
+    if len(paths) > 1:
+        return read_graymap_stack(paths)
+    head = _head(paths[0])
+    if head == HSC1_MAGIC:
+        return read_cube(paths[0])
+    if head[:2] in _GRAYMAP_MAGICS:
+        return read_graymap_stack(paths)
+    raise CubeFormatError(f"{paths[0]}: unrecognized input format {head!r}")
+
+
 # ---------------------------------------------------------------------------
 # Label maps
+
+# A 16-bit P5 label map holds labels 0..65535, so up to this many regions;
+# more fall back to a single-band HSC1 cube.
+_P5_MAX_REGIONS = 65536
+
+
+def label_format(labels: LabelMap) -> str:
+    """The format write_labels uses for labels: "p5" while they fit, else "hsc1"."""
+    return "p5" if labels.count <= _P5_MAX_REGIONS else "hsc1"
+
 
 def write_labels(labels: LabelMap, path) -> str:
     """Write labels as 16-bit P5 when they fit, else as a single-band HSC1.
 
-    Returns the format used ("p5" or "hsc1") so callers can note fallbacks.
+    Returns the format used, label_format(labels), so callers can note fallbacks.
     """
-    if labels.count <= 65536:
+    if label_format(labels) == "p5":
         samples = labels.labels.astype(">u2")
         with open(path, "wb") as fh:
             fh.write(f"P5\n{labels.width} {labels.height}\n65535\n".encode("ascii"))
@@ -208,8 +241,7 @@ def write_labels(labels: LabelMap, path) -> str:
 
 def read_label_values(path) -> np.ndarray:
     """Raw integer label grid from a P5/P2 graymap or single-band HSC1 file."""
-    head = Path(path).read_bytes()[:4]
-    if head[:2] in (b"P5", b"P2"):
+    if _head(path)[:2] in _GRAYMAP_MAGICS:
         _, _, values = _read_graymap(path)
         return values.astype(np.int64)
     cube = read_cube(path)

@@ -65,11 +65,13 @@ def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: Class
     left-fold path sums: the pixels a Dijkstra search settles within mu.
     """
     neighbors, weights = edge_weights.neighbors, edge_weights.weights
+    # a pixel not reached sits just above mu, so one comparison bounds a path
+    # sum and asks whether it drops; a sum that overflowed (+inf) never does.
+    # Every pixel whose sum dropped is a member, so each step resets its own.
+    above = math.nextafter(mu, math.inf)
+    dist = np.full(len(neighbors) + 1, above)
 
     def step(owner: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        # a pixel not reached sits just above mu, so one comparison bounds a
-        # path sum and asks whether it drops; a sum that overflowed (+inf) never does
-        dist = np.full(owner.size, math.nextafter(mu, math.inf))
         dist[seeds] = 0.0
         front, members = seeds, [seeds]
         while len(front):
@@ -85,6 +87,7 @@ def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: Class
             members.append(front)
         members = np.concatenate(members)
         owner[members] = -1
+        dist[members] = above
         return members
 
     def region(seed: int, owner: np.ndarray) -> list[int]:

@@ -17,7 +17,7 @@ from .flatzones import lambda_flat_zones
 from .grid import Connectivity, LabelMap, SpectralCube
 from .metrics import EdgeWeights, MetricKind, SpectralMetric, build_edge_weights, build_metric
 from .mu_balls import mu_geodesic_balls
-from .seeds import DEFAULT_REGION_CAP, ClassOrdering, SeedOrder, order_classes
+from .seeds import ClassOrdering, SeedOrder, order_classes
 
 
 def _check_nonneg(name: str, value: float) -> None:
@@ -30,22 +30,21 @@ class Pipeline:
     """The metric, neighbour table and flat zones of one run, and its seed order.
 
     seed_order is None for a run that only needs the flat zones. Classes
-    above max_region_size pixels fail the ordering, before any distance
-    of it is computed.
+    above seeds.MAX_REGION_SIZE pixels fail the ordering, before any
+    distance of it is computed.
     """
 
     metric: SpectralMetric
     edge_weights: EdgeWeights
     flat: LabelMap
     seed_order: SeedOrder | None
-    max_region_size: int = DEFAULT_REGION_CAP
 
     @cached_property
     def ordering(self) -> ClassOrdering:
         """The seed sequence of every flat zone, shared by both passes and all values."""
         if self.seed_order is None:
             raise ValueError("refinement needs a seed order")
-        return order_classes(self.flat, self.metric, self.seed_order, self.max_region_size)
+        return order_classes(self.flat, self.metric, self.seed_order)
 
     def refine(self, algo: str, value: float) -> LabelMap:
         """Eta-bounded regions ("eta") or mu-geodesic balls ("mu") of bound value."""
@@ -59,8 +58,7 @@ class Pipeline:
 
 
 def prepare(cube: SpectralCube, kind: MetricKind, lam: float, connectivity: Connectivity,
-            seed_order: SeedOrder | None,
-            max_region_size: int = DEFAULT_REGION_CAP) -> Pipeline:
+            seed_order: SeedOrder | None) -> Pipeline:
     """Build the metric, the neighbour table and the lambda-flat zones of cube.
 
     lam = inf makes the whole image one class.
@@ -69,4 +67,4 @@ def prepare(cube: SpectralCube, kind: MetricKind, lam: float, connectivity: Conn
     metric = build_metric(cube, kind)
     edge_weights = build_edge_weights(metric, connectivity)
     flat = lambda_flat_zones(metric, edge_weights, lam)
-    return Pipeline(metric, edge_weights, flat, seed_order, max_region_size)
+    return Pipeline(metric, edge_weights, flat, seed_order)

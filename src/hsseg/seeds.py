@@ -26,7 +26,9 @@ from .errors import RegionSizeCapError
 from .grid import LabelMap
 from .metrics import SpectralMetric, _norms
 
-DEFAULT_REGION_CAP = 50_000
+# Largest class the exact O(K^2) ordering accepts; a larger one fails it
+# before any distance is computed.
+MAX_REGION_SIZE = 50_000
 
 
 class SeedOrder(Enum):
@@ -71,28 +73,28 @@ def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
     return sums[inverse]
 
 
-def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
-                    max_region_size: int = DEFAULT_REGION_CAP):
+def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder):
     """Yield (label, class_pixels_flat, keys) per class of two or more pixels.
 
     One stable argsort of the labels groups the pixels, so each class comes
     out in raster order. keys are the cumulative distances, negated for
     ANTIMEDIAN_FIRST, so ascending keys with raster tie breaks give the seed
-    order. Every class is checked against the cap before any distance is
-    computed. A one-pixel class has key 0.0 and is not yielded. Classes below
-    _COLLAPSE_MIN_PIXELS come first, by size, and each batch of one size takes
-    its keys from one pair_distances block of at most _BLOCK_BYTES, or of one
-    class; larger classes follow through _cumdist. Both give the bits of the
-    per-pixel row loop.
+    order. Every class is checked against MAX_REGION_SIZE, as it stands when
+    the generator starts, before any distance is computed. A one-pixel class
+    has key 0.0 and is not yielded. Classes below _COLLAPSE_MIN_PIXELS come
+    first, by size, and each batch of one size takes its keys from one
+    pair_distances block of at most _BLOCK_BYTES, or of one class; larger
+    classes follow through _cumdist. Both give the bits of the per-pixel row
+    loop.
     """
     lab = flat.labels.ravel()
     grouped = np.argsort(lab, kind="stable")
     sizes = np.bincount(lab, minlength=flat.count)
-    over = np.flatnonzero(sizes > max_region_size)
+    over = np.flatnonzero(sizes > MAX_REGION_SIZE)
     if len(over):
         c = int(over[0])
         raise RegionSizeCapError(
-            f"class {c} has {sizes[c]} pixels, above the cap of {max_region_size}"
+            f"class {c} has {sizes[c]} pixels, above the cap of {MAX_REGION_SIZE}"
         )
     sign = 1.0 if order is SeedOrder.MEDIAN_FIRST else -1.0
     offsets = np.zeros(flat.count + 1, dtype=np.intp)
@@ -125,8 +127,7 @@ class ClassOrdering:
     offsets: np.ndarray
 
 
-def order_classes(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
-                  max_region_size: int = DEFAULT_REGION_CAP) -> ClassOrdering:
+def order_classes(flat: LabelMap, metric: SpectralMetric, order: SeedOrder) -> ClassOrdering:
     """Seed sequence of every class, from one pass over class_orderings.
 
     The keys go to one raster-indexed buffer, where one-pixel classes keep
@@ -135,7 +136,7 @@ def order_classes(flat: LabelMap, metric: SpectralMetric, order: SeedOrder,
     """
     lab = flat.labels.ravel()
     keys = np.zeros(lab.size)
-    for _, pts, class_keys in class_orderings(flat, metric, order, max_region_size):
+    for _, pts, class_keys in class_orderings(flat, metric, order):
         keys[pts] = class_keys
     pixels = np.lexsort((keys, lab))
     offsets = np.zeros(flat.count + 1, dtype=np.intp)

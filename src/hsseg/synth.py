@@ -10,59 +10,40 @@ edge (21 column zones) while 10 admits every edge (one zone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import SpectralCube
 
 
-@dataclass(frozen=True)
-class ToothSawSpec:
-    """Saw geometry: `teeth` monotone ramps of width/teeth columns each.
+def tooth_saw_profile(*, width: int = 21, step: float = 10.0, teeth: int = 3) -> np.ndarray:
+    """Band-0 column profile of the saw: `teeth` monotone ramps of width/teeth columns.
 
-    Band 0 starts at 0 and moves by +-step per column, flipping direction
-    after every ramp; bands 1.. hold constant_value everywhere.
+    It starts at 0 and moves by +-step per column, flipping direction after
+    every ramp.
     """
-
-    width: int = 21
-    height: int = 21
-    bands: int = 4
-    step: float = 10.0
-    teeth: int = 3
-    constant_value: float = 100.0
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.bands < 1:
-            raise ValueError("width, height and bands must be positive")
-        if self.teeth < 1:
-            raise ValueError("teeth must be positive")
-        if self.width % self.teeth != 0:
-            raise ValueError(
-                f"width ({self.width}) must be a multiple of teeth ({self.teeth})"
-            )
-        if not (self.step >= 0):
-            raise ValueError(f"step must be >= 0, got {self.step}")
-
-    @property
-    def ramp_length(self) -> int:
-        return self.width // self.teeth
-
-
-def tooth_saw_profile(spec: ToothSawSpec = ToothSawSpec()) -> np.ndarray:
-    """Band-0 column profile of the saw, starting at 0."""
-    ramp = spec.ramp_length
-    values = np.empty(spec.width)
+    if width < 1:
+        raise ValueError("width must be positive")
+    if teeth < 1:
+        raise ValueError("teeth must be positive")
+    if width % teeth != 0:
+        raise ValueError(f"width ({width}) must be a multiple of teeth ({teeth})")
+    if not (step >= 0):
+        raise ValueError(f"step must be >= 0, got {step}")
+    ramp = width // teeth
+    values = np.empty(width)
     values[0] = 0.0
-    for x in range(1, spec.width):
+    for x in range(1, width):
         direction = 1.0 if ((x - 1) // ramp) % 2 == 0 else -1.0
-        values[x] = values[x - 1] + direction * spec.step
+        values[x] = values[x - 1] + direction * step
     return values
 
 
-def tooth_saw_cube(spec: ToothSawSpec = ToothSawSpec()) -> SpectralCube:
-    """Build the saw cube: band 0 varies with x only, other bands constant."""
-    profile = tooth_saw_profile(spec)
-    data = np.full((spec.height, spec.width, spec.bands), spec.constant_value)
+def tooth_saw_cube(*, width: int = 21, height: int = 21, bands: int = 4, step: float = 10.0,
+                   teeth: int = 3, constant_value: float = 100.0) -> SpectralCube:
+    """Build the saw cube: band 0 is the saw profile along x, bands 1.. hold constant_value."""
+    if width < 1 or height < 1 or bands < 1:
+        raise ValueError("width, height and bands must be positive")
+    profile = tooth_saw_profile(width=width, step=step, teeth=teeth)
+    data = np.full((height, width, bands), constant_value)
     data[:, :, 0] = profile[None, :]
     return SpectralCube(data)

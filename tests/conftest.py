@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hsseg import (Connectivity, LabelMap, MetricKind, SeedOrder, SpectralCube,
                    build_metric, order_classes, prepare)
 from hsseg.metrics import _norms
-from hsseg.seeds import DEFAULT_REGION_CAP, class_orderings
+from hsseg.seeds import class_orderings
 
 from oracles import PixelIndex
 
@@ -39,8 +39,7 @@ def random_cube(rng, max_side, max_bands, positive=False):
     return SpectralCube(rng.choice(levels, size=(h, w, b)))
 
 
-def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST,
-                 max_region_size=DEFAULT_REGION_CAP):
+def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST):
     """Sort keys and seed order of a region, through the array seed API.
 
     The region becomes class 0 of a two-class partition (the rest of the
@@ -54,10 +53,10 @@ def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST,
         labels[y, x] = 0
     flat = LabelMap(labels)
     key = {PixelIndex(*p): 0.0 for p in region}
-    for c, pts, keys in class_orderings(flat, metric, order, max_region_size):
+    for c, pts, keys in class_orderings(flat, metric, order):
         if c == 0:
             key = {PixelIndex(i % w, i // w): float(k) for i, k in zip(pts.tolist(), keys)}
-    ordering = order_classes(flat, metric, order, max_region_size)
+    ordering = order_classes(flat, metric, order)
     first = ordering.pixels[:ordering.offsets[1]]
     return key, [PixelIndex(i % w, i // w) for i in first.tolist()]
 

@@ -8,7 +8,7 @@ import pytest
 
 import hsseg
 from hsseg import read_cube, read_labels
-from hsseg.cli import MAX_GRID_VALUES, main, parse_grid
+from hsseg.cli import EXIT_CODES, MAX_GRID_VALUES, main, parse_grid
 
 
 def run_cli(*args):
@@ -233,6 +233,29 @@ def test_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unexpected_failure_exits_1(saw_file, tmp_path, capsys, monkeypatch):
+    # an exception no other row of the exit-code table names
+    def broken(self, algo, value):
+        raise RuntimeError("pass broke")
+
+    monkeypatch.setattr(hsseg.Pipeline, "refine", broken)
+    for command in (("eta", "--eta", 1), ("sweep", "--algo", "mu", "--param", "0:1:1")):
+        assert run_cli(*command, "--input", saw_file, "--lambda", 10,
+                       "--outdir", tmp_path / command[0]) == 1
+        assert capsys.readouterr().err == "error: pass broke\n"
+
+
+def test_help_epilog_lists_each_exit_code_once(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    epilog = capsys.readouterr().out.split("exit codes:\n")[1]
+    listed = [line.split(None, 1) for line in epilog.splitlines()]
+    assert listed == [[str(code), meaning]
+                      for _, code, meaning in sorted(EXIT_CODES, key=lambda row: row[1])]
+    assert [code for code, _ in listed] == [str(code) for code in range(7)]
+
+
 def test_console_entry_point(tmp_path):
     saw = tmp_path / "saw.hsc"
     proc = subprocess.run(
@@ -321,13 +344,13 @@ def test_millis_covers_the_whole_run(saw_file, tmp_path, monkeypatch):
 
     import hsseg.cli
 
-    load = hsseg.cli._load_cube
+    load = hsseg.cli.load_cube
 
     def slow_load(paths):
         time.sleep(0.3)
         return load(paths)
 
-    monkeypatch.setattr(hsseg.cli, "_load_cube", slow_load)
+    monkeypatch.setattr(hsseg.cli, "load_cube", slow_load)
     out = tmp_path / "eta"
     assert run_cli("eta", "--input", saw_file, "--lambda", 10, "--eta", 20,
                    "--outdir", out) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsseg import (Connectivity, EdgeWeights, LabelMap, MetricKind, Pipeline, SeedOrder,
-                   SpectralCube, build_edge_weights, build_metric)
+                   SpectralCube, build_edge_weights, build_metric, prepare)
 from hsseg import eta_regions, growth, mu_balls
 
 from conftest import distance_row
@@ -98,6 +98,28 @@ def test_one_pass_steps_small_classes_and_walks_a_large_one(conn, order):
     for mu in (1.5, *MUS[1:]):  # mu 0 takes the Bellman-Ford oracle seconds here
         want = mu_balls_bruteforce(cube, MetricKind.EUCLIDEAN, flat, mu, anti, conn)[0]
         assert np.array_equal(pipeline.refine("mu", mu).labels, want.labels)
+
+
+def test_pass_state_is_reset_between_steps_and_values():
+    # each pass keeps one geodesic-sum array and one class-to-seed table for
+    # all its lockstep steps: a 12-pixel and a 7-pixel column class at lambda
+    # 0.5, whose regions at a small bound take up to 12 steps, among singletons
+    w, h = 5, 12
+    band0 = 100.0 + 10.0 * np.arange(w * h, dtype=float).reshape(h, w)
+    band0[:, 0] = 0.25 * np.arange(h)
+    band0[:7, 3] = 50.0 + 0.4 * np.arange(7)
+    cube = SpectralCube(np.stack([band0, np.ones((h, w))], axis=-1))
+    kind = MetricKind.EUCLIDEAN
+    for order in SeedOrder:
+        pipeline = prepare(cube, kind, 0.5, Connectivity.FOUR, order)
+        flat = pipeline.flat
+        assert sorted(np.bincount(flat.labels.ravel()))[-2:] == [7, 12]
+        anti = order is SeedOrder.ANTIMEDIAN_FIRST
+        for value in (0.0, 0.3, 1e18, 0.6, 0.0):
+            want = eta_regions_bruteforce(cube, kind, flat, value, anti)[0]
+            assert np.array_equal(pipeline.refine("eta", value).labels, want.labels)
+            want = mu_balls_bruteforce(cube, kind, flat, value, anti)[0]
+            assert np.array_equal(pipeline.refine("mu", value).labels, want.labels)
 
 
 @pytest.mark.parametrize("bands", [1, 7, 8, 9, 16, 33, 128, 129])

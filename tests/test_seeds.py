@@ -35,10 +35,11 @@ def test_triangle_cumdists():
     assert cd[PixelIndex(2, 0)] == pytest.approx(4 + 5, abs=1e-12)
 
 
-def test_region_size_cap():
+def test_region_size_cap(monkeypatch):
     m = build_metric(triangle_cube(), MetricKind.EUCLIDEAN)
-    with pytest.raises(RegionSizeCapError):
-        region_seeds(m, [(0, 0), (1, 0), (2, 0)], max_region_size=2)
+    monkeypatch.setattr(seeds, "MAX_REGION_SIZE", 2)
+    with pytest.raises(RegionSizeCapError, match="class 0 has 3 pixels, above the cap of 2"):
+        region_seeds(m, [(0, 0), (1, 0), (2, 0)])
 
 
 @given(cubes(max_side=6, max_bands=3), st.data())
@@ -332,10 +333,10 @@ def test_region_cap_checked_before_any_kernel_call(monkeypatch):
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     # class 0 (two pixels) is under the cap; class 1 (six pixels) is over it
     flat = relabel_dense(np.array([[0, 0, 1, 1], [1, 1, 1, 1]]))
+    monkeypatch.setattr(seeds, "MAX_REGION_SIZE", 4)
     with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
-        order_classes(flat, metric, SeedOrder.MEDIAN_FIRST, max_region_size=4)
-    pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST,
-                        max_region_size=4)
+        order_classes(flat, metric, SeedOrder.MEDIAN_FIRST)
+    pipeline = Pipeline(metric, build_edge_weights(metric), flat, SeedOrder.MEDIAN_FIRST)
     for algo in ("eta", "mu"):
         with pytest.raises(RegionSizeCapError, match="class 1 has 6 pixels"):
             pipeline.refine(algo, 1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsseg import ToothSawSpec, tooth_saw_cube
+from hsseg import tooth_saw_cube
 from hsseg.synth import tooth_saw_profile
 
 from conftest import flat_zones
@@ -48,21 +48,20 @@ def test_generator_is_deterministic():
 
 
 def test_custom_spec():
-    spec = ToothSawSpec(width=12, height=3, bands=2, step=2.5, teeth=4,
-                        constant_value=1.0)
-    cube = tooth_saw_cube(spec)
+    cube = tooth_saw_cube(width=12, height=3, bands=2, step=2.5, teeth=4,
+                          constant_value=1.0)
     assert (cube.width, cube.height, cube.bands) == (12, 3, 2)
     assert (np.abs(np.diff(cube.data[0, :, 0])) == 2.5).all()
+    assert (cube.data[:, :, 1] == 1.0).all()
+    assert np.array_equal(cube.data[0, :, 0], tooth_saw_profile(width=12, step=2.5, teeth=4))
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(ValueError):
-        ToothSawSpec(width=21, teeth=4)  # 21 not a multiple of 4
-    with pytest.raises(ValueError):
-        ToothSawSpec(width=0)
-    with pytest.raises(ValueError):
-        ToothSawSpec(bands=0)
-    with pytest.raises(ValueError):
-        ToothSawSpec(teeth=0)
-    with pytest.raises(ValueError):
-        ToothSawSpec(step=-1.0)
+    for kwargs in ({"width": 21, "teeth": 4},  # 21 not a multiple of 4
+                   {"width": 0}, {"bands": 0}, {"height": 0}, {"teeth": 0},
+                   {"step": -1.0}, {"step": float("nan")}):
+        with pytest.raises(ValueError):
+            tooth_saw_cube(**kwargs)
+    for kwargs in ({"width": 21, "teeth": 4}, {"width": 0}, {"teeth": 0}, {"step": -1.0}):
+        with pytest.raises(ValueError):
+            tooth_saw_profile(**kwargs)
