@@ -14,8 +14,8 @@ import numpy as np
 
 from .grid import LabelMap
 from .growth import _distinct, refine_classes
-from .metrics import EdgeWeights, SpectralMetric, _norms
-from .seeds import _BLOCK_BYTES, ClassOrdering
+from .metrics import _BLOCK_BYTES, EdgeWeights, SpectralMetric, _norms
+from .seeds import ClassOrdering
 
 
 def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat: LabelMap,

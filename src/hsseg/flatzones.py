@@ -18,12 +18,15 @@ from .metrics import EdgeWeights, SpectralMetric
 def _hook(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One round of min-label hooking of roots, then pointer jumping to a fixed point.
 
-    Each root takes the smallest root across its edges u -> v (Shiloach and
-    Vishkin, J. Algorithms 1982), so a zone's root ends as its smallest raster
-    index. Hooking roots, not pixels, keeps a long thin zone to a few rounds.
+    Each root takes the smallest root across its edges, both ways (Shiloach
+    and Vishkin, J. Algorithms 1982), so a zone's root ends as its smallest
+    raster index. An edge between two roots moves the larger one, so every
+    round makes progress. Hooking roots, not pixels, keeps a long thin zone
+    to a few rounds.
     """
     new = root.copy()
     np.minimum.at(new, root[u], root[v])
+    np.minimum.at(new, root[v], root[u])
     while True:
         jumped = new[new]
         if np.array_equal(jumped, new):
@@ -38,24 +41,19 @@ def lambda_flat_zones(metric: SpectralMetric, edge_weights: EdgeWeights,
     Labels are dense in order of first raster appearance. edge_weights,
     from `build_edge_weights` on this metric, sets the connectivity.
     """
-    # Both directions of every edge, so the rounds end when no edge joins two
-    # roots. Off-grid entries weigh +inf: a finite bound keeps them out even
-    # at lambda = inf.
-    joined = edge_weights.weights <= min(lam, np.finfo(np.float64).max)
+    # Each edge once, from the entry whose neighbour index is above the
+    # pixel's own: an off-grid -1 never is, even at lambda = inf.
+    n = metric.pixel_count
+    joined = edge_weights.neighbors > np.arange(n, dtype=np.int32)[:, None]
+    joined &= edge_weights.weights <= lam
     u = np.nonzero(joined)[0]
     v = edge_weights.neighbors[joined]
-    root = np.arange(metric.pixel_count, dtype=np.int32)
+    root = np.arange(n, dtype=np.int32)
     while len(u):
-        hooked = _hook(root, u, v)
-        if np.array_equal(hooked, root):
-            # a two-way entry always moves the larger of its roots, so every
-            # entry left is one-way: i lists j, and j does not list i within lambda
-            raise ValueError(f"edge_weights entry {u[0]} -> {v[0]} is one-way at "
-                             f"lambda = {lam}")
-        root = hooked
+        root = _hook(root, u, v)
         apart = root[u] != root[v]
         u, v = u[apart], v[apart]
     # each zone's root is its smallest raster index
-    first = root == np.arange(metric.pixel_count)
+    first = root == np.arange(n)
     labels = np.cumsum(first, dtype=np.int32)[root] - 1
     return LabelMap(labels.reshape(metric.height, metric.width), int(first.sum()))

@@ -39,22 +39,20 @@ def refine_classes(flat: LabelMap, ordering: ClassOrdering, step, region) -> Lab
     last entry stays -1, so an off-grid neighbour (-1) is in no class. Each
     lockstep step seeds every class not yet covered at its first free pixel,
     and step(owner, seeds) takes their regions from owner and returns their
-    flat indices. A larger class enters owner when its walk starts, after the
-    lockstep has drained, and each seed still free takes region(seed, owner),
-    likewise. ordering.pixels runs in the order of the output labels, so a
-    region's label counts the seeds at earlier places than its seed's.
+    flat indices. After the lockstep has drained, each seed of a larger class
+    that is still free takes region(seed, owner), likewise. ordering.pixels
+    runs in the order of the output labels, so a region's label counts the
+    seeds at earlier places than its seed's.
     """
     lab = flat.labels.ravel()
-    pixels, offsets = ordering.pixels, ordering.offsets
-    sizes = np.diff(offsets)
+    pixels, sizes = ordering.pixels, np.diff(ordering.offsets)
     # place[p]: the place in pixels of the seed of p's region; every pixel
     # starts as its own seed, which a one-pixel class keeps
     place = np.empty(lab.size, dtype=np.int32)
     place[pixels] = np.arange(lab.size, dtype=np.int32)
+    owner = np.append(lab, np.int32(-1))
     # the free pixels of the lockstep classes, grouped by class in seed order
     queue = pixels[np.repeat((sizes > 1) & (sizes <= _LOCKSTEP_MAX_PIXELS), sizes)]
-    owner = np.full(lab.size + 1, -1, dtype=np.int32)
-    owner[queue] = lab[queue]
     seed_place = np.empty(flat.count, dtype=np.int32)  # per class, its current seed's place
     while len(queue):
         seeds = queue[np.concatenate(([True], lab[queue[1:]] != lab[queue[:-1]]))]
@@ -62,12 +60,12 @@ def refine_classes(flat: LabelMap, ordering: ClassOrdering, step, region) -> Lab
         members = step(owner, seeds)
         place[members] = seed_place[lab[members]]
         queue = queue[owner[queue] >= 0]
-    for c in np.flatnonzero(sizes > _LOCKSTEP_MAX_PIXELS).tolist():
-        pts = pixels[offsets[c]:offsets[c + 1]]
-        owner[pts] = c
-        for i, seed in enumerate(pts.tolist(), int(offsets[c])):
-            if owner[seed] >= 0:
-                place[region(seed, owner)] = i
+    walked = np.flatnonzero(np.repeat(sizes > _LOCKSTEP_MAX_PIXELS, sizes))
+    # memoryviews yield Python ints one at a time, where lists of them would
+    # hold one object per walked pixel at once
+    for i, seed in zip(walked.data, pixels[walked].data):
+        if owner[seed] >= 0:
+            place[region(seed, owner)] = i
     seeded = np.zeros(lab.size, dtype=bool)
     seeded[place] = True
     label_of = np.cumsum(seeded, dtype=np.int32)  # of a place, plus one

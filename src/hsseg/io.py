@@ -13,7 +13,6 @@ an appendable CSV row for sweep curves.
 
 from __future__ import annotations
 
-import itertools
 import re
 import struct
 from dataclasses import dataclass
@@ -28,25 +27,17 @@ HSC1_MAGIC = b"HSC1"
 _GRAYMAP_MAGICS = (b"P5", b"P2")
 _HEADER = struct.Struct("<4sIIIB")
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
-_CODE_OF = {"float32": 1, "float64": 2}
-
-CSV_COLUMNS = ("algorithm", "metric", "lambda", "param",
-               "connectivity", "seed_order", "regions", "millis")
 
 
-def write_cube(cube: SpectralCube, path, *, dtype: str = "float64") -> None:
-    """Write a cube in the HSC1 layout; float64 round-trips bitwise."""
-    if dtype not in _CODE_OF:
-        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    code = _CODE_OF[dtype]
-    payload = cube.data.astype(_DTYPE_CODES[code], copy=False)
+def write_cube(cube: SpectralCube, path) -> None:
+    """Write a cube in the HSC1 layout as float64, so it round-trips bitwise."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(HSC1_MAGIC, cube.width, cube.height, cube.bands, code))
-        fh.write(payload.tobytes())
+        fh.write(_HEADER.pack(HSC1_MAGIC, cube.width, cube.height, cube.bands, 2))
+        fh.write(cube.data.astype(_DTYPE_CODES[2], copy=False).tobytes())
 
 
-def read_cube(path) -> SpectralCube:
-    """Read an HSC1 cube; exact inverse of write_cube. Every sample must be finite."""
+def _hsc1_samples(path) -> np.ndarray:
+    """The (height, width, bands) samples of an HSC1 file in its sample type, all finite."""
     buf = Path(path).read_bytes()
     if len(buf) < _HEADER.size:
         raise TruncatedFileError(
@@ -80,56 +71,59 @@ def read_cube(path) -> SpectralCube:
         k = int(np.argmin(finite))
         raise CubeFormatError(
             f"{path}: non-finite sample {data[k]} at byte {_HEADER.size + k * dt.itemsize}")
+    return data.reshape(height, width, bands)
+
+
+def read_cube(path) -> SpectralCube:
+    """Read an HSC1 cube; exact inverse of write_cube. Every sample must be finite."""
     # SpectralCube makes the one float64 copy
-    return SpectralCube(data.reshape(height, width, bands))
+    return SpectralCube(_hsc1_samples(path))
 
 
 # ---------------------------------------------------------------------------
 # Portable graymaps
 
-def _next_token(buf: bytes, pos: int, path) -> tuple[bytes, int]:
-    while pos < len(buf):
-        ch = buf[pos]
-        if ch in b" \t\r\n":
-            pos += 1
-        elif ch == ord("#"):
-            nl = buf.find(b"\n", pos)
-            pos = len(buf) if nl < 0 else nl + 1
-        else:
-            break
-    start = pos
-    while pos < len(buf) and buf[pos] not in b" \t\r\n":
-        pos += 1
-    if start == pos:
-        raise TruncatedFileError(f"{path}: expected a header token at byte {start}")
-    return buf[start:pos], pos
+# A token runs up to netpbm whitespace. In the header a token that starts
+# with "#" opens a comment, which runs to the end of its line; the P2 raster
+# has no comments.
+_TOKEN = re.compile(rb"[^ \t\r\n]+")
 
 
-def _token_offset(buf: bytes, pos: int, k: int) -> int:
-    """Byte offset of the k-th whitespace-separated token at or after pos."""
-    tokens = re.finditer(rb"\S+", buf[pos:])
-    return pos + next(itertools.islice(tokens, k, None)).start()
+def _header_tokens(buf: bytes, path):
+    """Yield the header's tokens as matches, with their offsets: the magic, then digits."""
+    pos, first = 0, True
+    while token := _TOKEN.search(buf, pos):
+        pos = token.end()
+        if token[0].startswith(b"#"):
+            # to the end of the line, or of the file when no newline follows
+            pos = buf.find(b"\n", token.start()) + 1 or len(buf)
+            continue
+        # after the magic, decimal digits only: int() would take a sign
+        if not (first or token[0].isdigit()):
+            raise BadHeaderError(
+                f"{path}: non-numeric header token {token[0]!r} at byte {token.start()}")
+        yield token
+        first = False
+    raise TruncatedFileError(f"{path}: expected a header token at byte {len(buf)}")
 
 
-def _read_graymap(path) -> tuple[int, int, np.ndarray]:
+def _read_graymap(path) -> np.ndarray:
+    """The (height, width) samples of one P5 or P2 graymap."""
     buf = Path(path).read_bytes()
-    magic, pos = _next_token(buf, 0, path)
+    header = _header_tokens(buf, path)
+    magic = next(header)[0]
     if magic not in _GRAYMAP_MAGICS:
         raise BadMagicError(f"{path}: bad magic {magic!r} at byte 0, expected P5 or P2")
-    fields, starts = [], []
-    for _ in range(3):
-        tok, pos = _next_token(buf, pos, path)
-        starts.append(pos - len(tok))
-        if not tok.isdigit():
-            raise BadHeaderError(f"{path}: non-numeric header token {tok!r} at byte {starts[-1]}")
-        fields.append(int(tok))
-    width, height, maxval = fields
+    tokens = [next(header) for _ in range(3)]
+    width, height, maxval = (int(tok[0]) for tok in tokens)
     if width == 0 or height == 0:
         raise BadHeaderError(
-            f"{path}: zero dimension in header at byte {starts[0]}: {width}x{height}"
+            f"{path}: zero dimension in header at byte {tokens[0].start()}: {width}x{height}"
         )
     if not 0 < maxval < 65536:
-        raise BadHeaderError(f"{path}: maxval {maxval} at byte {starts[2]} out of range 1..65535")
+        raise BadHeaderError(
+            f"{path}: maxval {maxval} at byte {tokens[2].start()} out of range 1..65535")
+    pos = tokens[2].end()
     if magic == b"P5":
         pos += 1  # single whitespace byte separates maxval from the raster
         dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
@@ -144,29 +138,27 @@ def _read_graymap(path) -> tuple[int, int, np.ndarray]:
                                   f"after raster at offset {pos + expected}")
         samples = np.frombuffer(buf, dtype=dt, count=width * height, offset=pos)
     else:
-        text = buf[pos:].split()
+        text = list(_TOKEN.finditer(buf, pos))
         if len(text) < width * height:
             raise TruncatedFileError(
                 f"{path}: raster expects {width * height} samples after byte {pos}, "
                 f"found {len(text)}"
             )
         if len(text) > width * height:
-            offset = _token_offset(buf, pos, width * height)
             raise CubeFormatError(f"{path}: {len(text) - width * height} trailing tokens "
-                                  f"after raster at byte {offset}")
-        bad = next((k for k, tok in enumerate(text) if not tok.isdigit()), None)
+                                  f"after raster at byte {text[width * height].start()}")
+        bad = next((tok for tok in text if not tok[0].isdigit()), None)
         if bad is not None:
-            offset = _token_offset(buf, pos, bad)
-            kind = "negative" if text[bad].startswith(b"-") else "non-integer"
-            raise CubeFormatError(f"{path}: {kind} sample {text[bad]!r} at byte {offset}")
-        samples = np.array([int(t) for t in text])
+            kind = "negative" if bad[0].startswith(b"-") else "non-integer"
+            raise CubeFormatError(f"{path}: {kind} sample {bad[0]!r} at byte {bad.start()}")
+        samples = np.array([int(tok[0]) for tok in text])
     if samples.max(initial=0) > maxval:
         k = int(np.argmax(samples > maxval))
-        offset = pos + k * samples.itemsize if magic == b"P5" else _token_offset(buf, pos, k)
+        offset = pos + k * samples.itemsize if magic == b"P5" else text[k].start()
         raise BadHeaderError(
             f"{path}: sample {samples[k]} at byte {offset} exceeds declared maxval {maxval}"
         )
-    return width, height, samples.reshape(height, width)
+    return samples.reshape(height, width)
 
 
 def read_graymap_stack(paths) -> SpectralCube:
@@ -175,15 +167,13 @@ def read_graymap_stack(paths) -> SpectralCube:
     if not paths:
         raise ValueError("no input files")
     bands = []
-    ref = None
     for position, path in enumerate(paths, start=1):
-        width, height, values = _read_graymap(path)
-        if ref is None:
-            ref = (width, height)
-        elif (width, height) != ref:
+        values = _read_graymap(path)
+        if bands and values.shape != bands[0].shape:
+            (height, width), (ref_h, ref_w) = values.shape, bands[0].shape
             raise CubeFormatError(
                 f"dimension mismatch in file {position} ({path}): "
-                f"{width}x{height}, expected {ref[0]}x{ref[1]}"
+                f"{width}x{height}, expected {ref_w}x{ref_h}"
             )
         bands.append(values)
     # raw samples stacked; SpectralCube makes the one float64 copy
@@ -223,34 +213,32 @@ def label_format(labels: LabelMap) -> str:
     return "p5" if labels.count <= _P5_MAX_REGIONS else "hsc1"
 
 
-def write_labels(labels: LabelMap, path) -> str:
-    """Write labels as 16-bit P5 when they fit, else as a single-band HSC1.
-
-    Returns the format used, label_format(labels), so callers can note fallbacks.
-    """
+def write_labels(labels: LabelMap, path) -> None:
+    """Write labels in label_format(labels): 16-bit P5 when they fit, else single-band HSC1."""
     if label_format(labels) == "p5":
-        samples = labels.labels.astype(">u2")
         with open(path, "wb") as fh:
             fh.write(f"P5\n{labels.width} {labels.height}\n65535\n".encode("ascii"))
-            fh.write(samples.tobytes())
-        return "p5"
-    cube = SpectralCube(labels.labels.astype(np.float64)[:, :, None])
-    write_cube(cube, path)
-    return "hsc1"
+            fh.write(labels.labels.astype(">u2").tobytes())
+    else:
+        write_cube(SpectralCube(labels.labels.astype(np.float64)[:, :, None]), path)
 
 
 def read_label_values(path) -> np.ndarray:
-    """Raw integer label grid from a P5/P2 graymap or single-band HSC1 file."""
+    """Raw integer label grid from a P5/P2 graymap or single-band int64-valued HSC1 file."""
     if _head(path)[:2] in _GRAYMAP_MAGICS:
-        _, _, values = _read_graymap(path)
-        return values.astype(np.int64)
-    cube = read_cube(path)
-    if cube.bands != 1:
-        raise CubeFormatError(f"{path}: label cube must have one band, found {cube.bands}")
-    values = cube.data[:, :, 0]
+        return _read_graymap(path).astype(np.int64)
+    samples = _hsc1_samples(path)
+    if samples.shape[2] != 1:
+        raise CubeFormatError(f"{path}: label cube must have one band, found {samples.shape[2]}")
+    values = samples[:, :, 0]
     rounded = np.rint(values)
     if not np.array_equal(rounded, values):
         raise CubeFormatError(f"{path}: label cube holds non-integer values")
+    outside = (rounded < -2.0 ** 63) | (rounded >= 2.0 ** 63)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise CubeFormatError(f"{path}: label {values.flat[k]!s} at byte "
+                              f"{_HEADER.size + k * values.itemsize} is outside the int64 range")
     return rounded.astype(np.int64)
 
 
@@ -300,31 +288,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fields(report: SegmentationReport, *, sizes: bool) -> dict[str, str]:
+    """The report's fields in file order as text; region_sizes only if sizes."""
+    fields = {"algorithm": report.algorithm, "metric": report.metric,
+              "lambda": _fmt(report.lam), "param": _fmt(report.param),
+              "connectivity": _fmt(report.connectivity),
+              "seed_order": _fmt(report.seed_order), "regions": _fmt(report.regions)}
+    if sizes:
+        fields["region_sizes"] = " ".join(map(str, report.region_sizes))
+    fields["millis"] = f"{report.millis:.3f}"
+    return fields
+
+
 def write_report(report: SegmentationReport, path, *, extra=()) -> None:
     """Write the one-line-per-field text report; `extra` appends note lines."""
-    lines = [
-        f"algorithm: {report.algorithm}",
-        f"metric: {report.metric}",
-        f"lambda: {_fmt(report.lam)}",
-        f"param: {_fmt(report.param)}",
-        f"connectivity: {report.connectivity}",
-        f"seed_order: {_fmt(report.seed_order)}",
-        f"regions: {report.regions}",
-        "region_sizes: " + " ".join(map(str, report.region_sizes)),
-        f"millis: {report.millis:.3f}",
-    ]
-    lines.extend(extra)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    lines = [f"{name}: {text}" for name, text in _fields(report, sizes=True).items()]
+    Path(path).write_text("\n".join([*lines, *extra]) + "\n", encoding="ascii")
 
 
 def append_sweep_row(report: SegmentationReport, path) -> None:
     """Append one CSV row, writing the header first on a fresh or empty file."""
     path = Path(path)
     needs_header = not path.exists() or path.stat().st_size == 0
-    row = (report.algorithm, report.metric, _fmt(report.lam), _fmt(report.param),
-           str(report.connectivity), _fmt(report.seed_order),
-           str(report.regions), f"{report.millis:.3f}")
+    fields = _fields(report, sizes=False)
     with open(path, "a", encoding="ascii") as fh:
         if needs_header:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.write(",".join(row) + "\n")
+            fh.write(",".join(fields) + "\n")
+        fh.write(",".join(fields.values()) + "\n")

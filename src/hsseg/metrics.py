@@ -25,6 +25,13 @@ class MetricKind(Enum):
     CHI_SQUARED = "chi_squared"
 
 
+# Bytes of one block of float64 differences handed to _norms: of the edge
+# table's (rows, k, bands) block, of the ordering's (classes, K, K, bands)
+# block of a batch of small classes, which holds at least one class, and of
+# the (pixels, bands) seed rows of an eta lockstep level.
+_BLOCK_BYTES = 1 << 18
+
+
 def _norms(diff: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis. Squares diff in place, so pass a temporary."""
     return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
@@ -114,10 +121,6 @@ class EdgeWeights:
         return float(self.weights[forward].sum())
 
 
-# Pixels per block when filling the weights: bounds the gathered temporaries.
-_EDGE_BLOCK = 1024
-
-
 def build_edge_weights(metric: SpectralMetric,
                        connectivity: Connectivity = Connectivity.FOUR) -> EdgeWeights:
     h, w, n = metric.height, metric.width, metric.pixel_count
@@ -127,8 +130,9 @@ def build_edge_weights(metric: SpectralMetric,
                           for dx, dy in connectivity.offsets], axis=1)
     weights = np.empty(neighbors.shape)
     cf = metric.coords_flat
-    for start in range(0, n, _EDGE_BLOCK):
-        block = slice(start, start + _EDGE_BLOCK)
+    rows = max(1, _BLOCK_BYTES // (8 * metric.bands * neighbors.shape[1]))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
         # -1 gathers the last pixel here; those entries become +inf below
         diff = cf[neighbors[block]]
         diff -= cf[block, None]

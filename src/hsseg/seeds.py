@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RegionSizeCapError
 from .grid import LabelMap
-from .metrics import SpectralMetric, _norms
+from .metrics import _BLOCK_BYTES, SpectralMetric, _norms
 
 # Largest class the exact O(K^2) ordering accepts; a larger one fails it
 # before any distance is computed.
@@ -40,11 +40,6 @@ class SeedOrder(Enum):
 # distinct spectrum. Below the gate np.unique costs more than the rows it saves,
 # and classes are batched by size instead.
 _COLLAPSE_MIN_PIXELS = 64
-
-# Bytes of one block: of the ordering's (classes, K, K, bands) differences of
-# a batch of small classes, which holds at least one class, and of the
-# (pixels, bands) differences of the seed rows of an eta lockstep level.
-_BLOCK_BYTES = 1 << 18
 
 
 def pair_distances(metric: SpectralMetric, pts: np.ndarray) -> np.ndarray:

@@ -206,6 +206,12 @@ def test_error_exit_codes(tmp_path, capsys):
                            + np.array([0.0, -np.inf]).tobytes())
     assert run_cli("stats", label_cube) == 3
     assert f"error: {label_cube}: non-finite sample -inf at byte 25" in capsys.readouterr().err
+    # a label beyond the int64 range is a format error, not a silent merge
+    label_cube.write_bytes(b"HSC1" + np.array([3, 1, 1], "<u4").tobytes() + b"\x02"
+                           + np.array([1e19, 2e19, 3.0]).tobytes())
+    assert run_cli("stats", label_cube) == 3
+    assert (f"error: {label_cube}: label 1e+19 at byte 17 is outside the int64 range"
+            in capsys.readouterr().err)
     # missing file
     assert run_cli("flat", "--input", tmp_path / "nope.hsc", "--lambda", 1,
                    "--outdir", tmp_path) == 6
@@ -220,7 +226,10 @@ def test_error_exit_codes(tmp_path, capsys):
             ("tail5.pgm", b"P5\n2 1\n255\n\x01\x02\x00\x00",
              "tail5.pgm: 2 trailing bytes after raster at offset 13"),
             ("tail2.pgm", b"P2 2 1 9\n1 2 3 x\n",
-             "tail2.pgm: 2 trailing tokens after raster at byte 13")):
+             "tail2.pgm: 2 trailing tokens after raster at byte 13"),
+            # netpbm whitespace is blank, TAB, CR and LF: a vertical tab is no separator
+            ("vtab.pgm", b"P2 2 1 9\n1\x0b2 3\n",
+             "vtab.pgm: non-integer sample b'1\\x0b2' at byte 9")):
         (tmp_path / name).write_bytes(body)
         assert run_cli("flat", "--input", tmp_path / name, "--lambda", 0,
                        "--outdir", tmp_path) == 3

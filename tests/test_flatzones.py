@@ -138,15 +138,16 @@ def test_off_grid_entries_join_nothing(shape, conn):
         assert labels.count == len(values)
 
 
-def test_one_way_entry_raises_instead_of_hanging():
-    # pixel 0 lists pixel 1 as its east neighbour, pixel 1 lists nobody: the
-    # entry joins two roots, and hooking never moves the smaller one
+def test_one_way_entry_still_joins_its_pixels():
+    # pixel 0 lists pixel 1 as its east neighbour, pixel 1 lists nobody: each
+    # edge is hooked both ways from its entry above the diagonal, so the one
+    # entry joins both pixels and the rounds end
     cube = SpectralCube(np.zeros((1, 2, 1)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     neighbors = np.array([[-1, -1, -1, 1], [-1, -1, -1, -1]], dtype=np.int32)
     table = EdgeWeights(Connectivity.FOUR, neighbors, np.where(neighbors >= 0, 0.0, np.inf))
-    with pytest.raises(ValueError, match="entry 0 -> 1 is one-way"):
-        lambda_flat_zones(metric, table, 1.0)
+    got = lambda_flat_zones(metric, table, 1.0)
+    assert got.count == 1 and got.labels.tolist() == [[0, 0]]
 
 
 def test_built_edge_weights_are_read_only():

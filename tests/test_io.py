@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from hsseg import (BadHeaderError, BadMagicError, CubeFormatError, LabelMap,
                    append_sweep_row, read_cube, read_graymap_stack,
                    read_labels, relabel_dense, write_cube, write_labels,
                    write_report)
-from hsseg.io import read_label_values
+from hsseg.io import label_format, read_label_values
 
 
 def test_cube_roundtrip_bitwise(tmp_path):
@@ -20,13 +23,14 @@ def test_cube_roundtrip_bitwise(tmp_path):
 
 
 def test_cube_roundtrip_float32(tmp_path):
-    cube = SpectralCube(np.array([[[0.1, 0.2]]]))
+    # write_cube writes float64 only; a float32 cube (sample type 1) is read
+    # as its samples widened to float64
+    samples = np.array([0.1, 0.2, -3.5, 7.25, 1e-3, 6e4], dtype="<f4")
     path = tmp_path / "c.hsc"
-    write_cube(cube, path, dtype="float32")
+    path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 3, 1, 2, 1) + samples.tobytes())
     back = read_cube(path)
-    assert np.array_equal(back.data, cube.data.astype(np.float32).astype(np.float64))
-    with pytest.raises(ValueError):
-        write_cube(cube, path, dtype="int8")
+    assert back.data.dtype == np.float64
+    assert np.array_equal(back.data, samples.astype(np.float64).reshape(1, 3, 2))
 
 
 def test_bad_magic(tmp_path):
@@ -61,7 +65,6 @@ def test_trailing_bytes_rejected(tmp_path):
 def test_non_finite_sample_is_a_format_error(tmp_path, dtype, size):
     # a 2x3 cube of 2 bands: the message names the file and the first
     # non-finite sample's byte offset, 17 + index * itemsize
-    import struct
     path = tmp_path / "nf.hsc"
     for bad, first in (((5,), 5), ((7, 3), 3), ((11,), 11), ((0, 11), 0)):
         for value in (np.nan, np.inf, -np.inf):
@@ -80,7 +83,6 @@ def test_non_finite_sample_is_a_format_error(tmp_path, dtype, size):
 
 def test_zero_dims_and_short_header(tmp_path):
     path = tmp_path / "z.hsc"
-    import struct
     path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 0, 3, 1, 2))
     with pytest.raises(BadHeaderError, match=r"z\.hsc: zero dimension in header at byte 4"):
         read_cube(path)
@@ -96,7 +98,8 @@ def test_zero_dims_and_short_header(tmp_path):
 def test_labels_p5_bytes(tmp_path):
     labels = LabelMap(np.array([[0, 1], [2, 3]]))
     path = tmp_path / "l.pgm"
-    assert write_labels(labels, path) == "p5"
+    assert label_format(labels) == "p5"
+    write_labels(labels, path)
     blob = path.read_bytes()
     header = b"P5\n2 2\n65535\n"
     assert blob == header + b"\x00\x00\x00\x01\x00\x02\x00\x03"
@@ -118,7 +121,8 @@ def test_labels_hsc1_fallback(tmp_path):
     # more distinct labels than a 16-bit graymap can carry
     big = relabel_dense(np.arange(257 * 256).reshape(257, 256))
     path = tmp_path / "big.labels"
-    assert write_labels(big, path) == "hsc1"
+    assert label_format(big) == "hsc1"
+    write_labels(big, path)
     back = read_labels(path)
     assert np.array_equal(back.labels, big.labels)
 
@@ -129,6 +133,25 @@ def test_read_label_values_rejects_fractional_cube(tmp_path):
     write_cube(cube, path)
     with pytest.raises(CubeFormatError, match="non-integer"):
         read_label_values(path)
+
+
+@pytest.mark.parametrize("dtype, size", [("<f8", 8), ("<f4", 4)])
+def test_label_cube_outside_int64_is_a_format_error(tmp_path, dtype, size):
+    # int64 would turn 2**63 and above into INT64_MIN and merge the regions;
+    # the message names the first such value's byte offset, 17 + index * size
+    path = tmp_path / "huge.hsc"
+    for values, first in (([1e19, 2e19, 3.0], 0), ([3.0, -1e19, 2.0**63], 1),
+                          ([0.0, 1.0, 2.0**63], 2)):
+        data = np.array(values, dtype=dtype)
+        path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 3, 1, 1, size // 4) + data.tobytes())
+        with pytest.raises(CubeFormatError,
+                           match=rf"huge\.hsc: label {re.escape(str(data[first]))} at byte "
+                                 rf"{17 + first * size} is outside the int64 range$"):
+            read_label_values(path)
+    # -2**63 itself is an int64
+    data = np.array([-2.0**63, 2.0**62], dtype=dtype)
+    path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 2, 1, 1, size // 4) + data.tobytes())
+    assert read_label_values(path).tolist() == [[-2**63, 2**62]]
 
 
 def test_graymap_stack(tmp_path):
@@ -174,6 +197,13 @@ def test_p2_rejects_non_integer_and_negative_samples(tmp_path):
     bad.write_bytes(b"P2 2 1 9\nx 4\n")
     with pytest.raises(CubeFormatError, match=r"word\.pgm: non-integer sample b'x' at byte 9"):
         read_graymap_stack([bad])
+    # netpbm whitespace is blank, TAB, CR and LF: a vertical tab or a form feed
+    # joins two samples into one token
+    for sep in (b"\x0b", b"\x0c"):
+        bad.write_bytes(b"P2 3 1 9\n7 1" + sep + b"2 4\n")
+        with pytest.raises(CubeFormatError, match=r"word\.pgm: non-integer sample "
+                                                  r"b'1\\x0[bc]2' at byte 11"):
+            read_graymap_stack([bad])
     neg = tmp_path / "neg.pgm"
     neg.write_bytes(b"P2\n# c\n2 1 9\n4 -3\n")
     with pytest.raises(CubeFormatError, match=r"neg\.pgm: negative sample b'-3' at byte 15"):
@@ -205,6 +235,15 @@ def test_graymap_errors(tmp_path):
     header.write_bytes(b"P5\n2 1")
     with pytest.raises(TruncatedFileError,
                        match=r"header\.pgm: expected a header token at byte 6"):
+        read_graymap_stack([header])
+    # a comment that runs to the end of the file leaves the header short
+    header.write_bytes(b"P5\n2 1 # maxval follows")
+    with pytest.raises(TruncatedFileError,
+                       match=r"header\.pgm: expected a header token at byte 23"):
+        read_graymap_stack([header])
+    header.write_bytes(b"# only a comment\n")
+    with pytest.raises(TruncatedFileError,
+                       match=r"header\.pgm: expected a header token at byte 17"):
         read_graymap_stack([header])
     # int() would take a sign; a header field is decimal digits only
     header.write_bytes(b"P5\n-2 1 255\n\x00\x01")

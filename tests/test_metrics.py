@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hsseg import (Connectivity, DegenerateMarginalError, MetricKind,
                    SpectralCube, build_edge_weights, build_metric)
+from hsseg import metrics
 
 from conftest import cubes, distance_row, library_distance, positive_cubes
 from oracles import _OFFSETS, coordinates, distance, neighbors
@@ -162,6 +164,39 @@ def test_edge_weights_keep_bits_with_many_bands():
                 pts = np.array([j for j in row if j >= 0])
                 assert ew.weights[i][ew.neighbors[i] >= 0].tobytes() == \
                     distance_row(m, i, pts).tobytes()
+
+
+@pytest.mark.parametrize("bands", [1, 8, 9, 64, 129])
+def test_edge_weights_do_not_depend_on_the_block_budget(bands, monkeypatch):
+    # a budget of 1 byte gives one row per block, 1 << 40 the whole grid in one
+    rng = np.random.default_rng(bands)
+    cube = SpectralCube(rng.uniform(0, 1, size=(9, 14, bands)))
+    for kind in MetricKind:
+        m = build_metric(cube, kind)
+        for conn in Connectivity:
+            tables = set()
+            for budget in (1, 5000, metrics._BLOCK_BYTES, 1 << 40):
+                monkeypatch.setattr(metrics, "_BLOCK_BYTES", budget)
+                ew = build_edge_weights(m, conn)
+                tables.add((ew.neighbors.tobytes(), ew.weights.tobytes()))
+            monkeypatch.undo()
+            assert len(tables) == 1
+
+
+def test_edge_weight_build_keeps_a_bounded_peak():
+    # at 129 bands and 8-connectivity a block of 1 024 rows held 8.5 MB of
+    # differences; a block of _BLOCK_BYTES holds 31 rows. Beyond the table the
+    # build keeps at most the block being filled and the one before it.
+    rng = np.random.default_rng(4)
+    m = build_metric(SpectralCube(rng.uniform(0, 1, size=(48, 48, 129))), MetricKind.EUCLIDEAN)
+    tracemalloc.start()
+    try:
+        ew = build_edge_weights(m, Connectivity.EIGHT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - ew.weights.nbytes - ew.neighbors.nbytes <= 3 * metrics._BLOCK_BYTES
+    assert peak < 1024 * 8 * 129 * 8
 
 
 def test_edge_weight_bounds_on_known_cube():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hsseg import (Connectivity, LabelMap, MetricKind, Pipeline, RegionSizeCapError,
                    SeedOrder, SpectralCube, build_edge_weights, build_metric,
                    order_classes, prepare, relabel_dense)
-from hsseg import eta_regions, growth, seeds
+from hsseg import eta_regions, growth, metrics, seeds
 from hsseg.seeds import class_orderings
 
 from conftest import cubes, region_seeds
@@ -213,7 +213,7 @@ def test_size_batches_match_per_class_reference(bands, monkeypatch):
     # the largest classes take a block each
     gate = seeds._COLLAPSE_MIN_PIXELS
     assert {k for _, k in blocks} == set(range(2, gate))
-    assert all(n == 1 or n * k * k * bands * 8 <= seeds._BLOCK_BYTES for n, k in blocks)
+    assert all(n == 1 or n * k * k * bands * 8 <= metrics._BLOCK_BYTES for n, k in blocks)
     assert (max(n for n, k in blocks if k == gate - 1) == 1) == (bands >= 7)
 
 
@@ -232,9 +232,11 @@ def test_block_budget_and_gate_do_not_change_keys_or_labels(monkeypatch):
         return ordering.pixels.tolist(), keys, eta.labels.tolist(), mu.labels.tolist()
 
     batched = run()
-    # one class per ordering block, one pixel per eta distance block
-    monkeypatch.setattr(seeds, "_BLOCK_BYTES", 1)
-    monkeypatch.setattr(eta_regions, "_BLOCK_BYTES", 1)
+    # one class per ordering block, one pixel per eta distance block and one
+    # row per edge table block: the budget lives in metrics, and seeds and
+    # eta_regions hold their imported copies
+    for module in (metrics, seeds, eta_regions):
+        monkeypatch.setattr(module, "_BLOCK_BYTES", 1)
     assert run() == batched
     # no batches at all: every class through _cumdist and per-seed growth
     monkeypatch.setattr(seeds, "_COLLAPSE_MIN_PIXELS", 2)
