@@ -17,8 +17,7 @@ from .grid import (Connectivity, LabelMap, SpectralCube, region_sizes,
 from .io import (SegmentationReport, append_sweep_row, load_cube, read_cube,
                  read_graymap_stack, read_labels, write_cube, write_labels,
                  write_report)
-from .metrics import (EdgeWeights, MetricKind, SpectralMetric,
-                      build_edge_weights, build_metric)
+from .metrics import EdgeWeights, MetricKind, build_edge_weights, build_metric
 from .mu_balls import mu_geodesic_balls
 from .pipeline import Pipeline, prepare
 from .seeds import ClassOrdering, SeedOrder, order_classes
@@ -30,9 +29,9 @@ __all__ = [
     "BadHeaderError", "BadMagicError", "ClassOrdering", "Connectivity",
     "CubeFormatError", "DegenerateMarginalError", "EdgeWeights",
     "HssegError", "LabelMap", "MetricKind", "Pipeline", "RegionSizeCapError",
-    "SeedOrder", "SegmentationReport", "SpectralCube", "SpectralMetric",
-    "TruncatedFileError", "append_sweep_row", "build_edge_weights",
-    "build_metric", "eta_bounded_regions", "lambda_flat_zones", "load_cube",
+    "SeedOrder", "SegmentationReport", "SpectralCube", "TruncatedFileError",
+    "append_sweep_row", "build_edge_weights", "build_metric",
+    "eta_bounded_regions", "lambda_flat_zones", "load_cube",
     "mu_geodesic_balls", "order_classes", "prepare", "read_cube",
     "read_graymap_stack", "read_labels", "region_sizes", "relabel_dense",
     "tooth_saw_cube", "write_cube", "write_labels", "write_report",

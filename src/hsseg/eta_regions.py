@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import LabelMap
+from .grid import LabelMap, SpectralCube
 from .growth import _distinct, refine_classes
-from .metrics import _BLOCK_BYTES, EdgeWeights, SpectralMetric, _norms
+from .metrics import _BLOCK_BYTES, EdgeWeights, _norms
 from .seeds import ClassOrdering
 
 
-def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat: LabelMap,
+def eta_bounded_regions(metric: SpectralCube, edge_weights: EdgeWeights, flat: LabelMap,
                         ordering: ClassOrdering, eta: float) -> LabelMap:
     """Refine a flat-zone partition into eta-bounded regions.
 
@@ -67,13 +67,13 @@ def eta_bounded_regions(metric: SpectralMetric, edge_weights: EdgeWeights, flat:
     return refine_classes(flat, ordering, step, region)
 
 
-def _seed_rows(metric: SpectralMetric, pts: np.ndarray, seeds: np.ndarray | int) -> np.ndarray:
+def _seed_rows(metric: SpectralCube, pts: np.ndarray, seeds: np.ndarray | int) -> np.ndarray:
     """Distances from seeds to pts (m,): one seed per pixel (m,), or one seed for all.
 
     Each is a `_norms` row of an (m, bands) difference, so its bits do not
     depend on which pixels, or how many, share the row.
     """
-    cf = metric.coords_flat
+    cf = metric.spectra
     diff = cf[pts]
     diff -= cf[seeds]
     return _norms(diff)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import LabelMap
-from .metrics import EdgeWeights, SpectralMetric
+from .grid import LabelMap, SpectralCube
+from .metrics import EdgeWeights
 
 
 def _hook(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -34,7 +34,7 @@ def _hook(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         new = jumped
 
 
-def lambda_flat_zones(metric: SpectralMetric, edge_weights: EdgeWeights,
+def lambda_flat_zones(metric: SpectralCube, edge_weights: EdgeWeights,
                       lam: float) -> LabelMap:
     """Partition the metric's grid into lambda-flat zones over edge_weights.
 

@@ -33,11 +33,12 @@ class SpectralCube:
     """Immutable grid of L-band spectra stored as float64.
 
     ``data`` has shape (height, width, bands); the spectrum of pixel (x, y)
-    is ``data[y, x]``. Values are validated finite at construction and the
+    is ``data[y, x]``, and ``spectra`` is the (pixel_count, bands) view of
+    it in raster order. Values are validated finite at construction and the
     buffer is frozen, so a cube can be shared across concurrent readers.
     """
 
-    __slots__ = ("data", "width", "height", "bands")
+    __slots__ = ("data", "spectra", "width", "height", "bands")
 
     def __init__(self, data) -> None:
         arr = np.array(data, dtype=np.float64)
@@ -52,6 +53,7 @@ class SpectralCube:
         arr.flags.writeable = False
         self.data = arr
         self.height, self.width, self.bands = arr.shape
+        self.spectra = arr.reshape(-1, self.bands)
 
     @property
     def pixel_count(self) -> int:

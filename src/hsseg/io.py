@@ -4,11 +4,11 @@ Cube files use a minimal self-describing binary layout: the ASCII magic
 "HSC1", then width, height and bands as unsigned 32-bit little-endian
 integers, one sample-type byte (1 = float32, 2 = float64), and the payload
 as little-endian floats, band-interleaved by pixel in raster order. An
-input is one HSC1 cube or a stack of P5/P2 graymaps, one band per file;
-the first bytes of a file decide which. Label maps go out as 16-bit binary
-portable graymaps (P5, maxval 65535) while they fit, falling back to a
-single-band HSC1 cube otherwise. Reports are one-line-per-field text plus
-an appendable CSV row for sweep curves.
+input is one HSC1 cube or a stack of P5/P2 graymaps, one band per file: a
+file whose first four bytes are "HSC1" is a cube, any other a graymap.
+Label maps go out as 16-bit binary portable graymaps (P5, maxval 65535)
+while they fit, falling back to a single-band HSC1 cube otherwise. Reports
+are one-line-per-field text plus an appendable CSV row for sweep curves.
 """
 
 from __future__ import annotations
@@ -111,9 +111,11 @@ def _read_graymap(path) -> np.ndarray:
     """The (height, width) samples of one P5 or P2 graymap."""
     buf = Path(path).read_bytes()
     header = _header_tokens(buf, path)
-    magic = next(header)[0]
+    token = next(header)
+    magic = token[0]
     if magic not in _GRAYMAP_MAGICS:
-        raise BadMagicError(f"{path}: bad magic {magic!r} at byte 0, expected P5 or P2")
+        raise BadMagicError(
+            f"{path}: bad magic {magic[:4]!r} at byte {token.start()}, expected P5 or P2")
     tokens = [next(header) for _ in range(3)]
     width, height, maxval = (int(tok[0]) for tok in tokens)
     if width == 0 or height == 0:
@@ -125,7 +127,8 @@ def _read_graymap(path) -> np.ndarray:
             f"{path}: maxval {maxval} at byte {tokens[2].start()} out of range 1..65535")
     pos = tokens[2].end()
     if magic == b"P5":
-        pos += 1  # single whitespace byte separates maxval from the raster
+        # single whitespace byte separates maxval from the raster
+        pos = min(pos + 1, len(buf))
         dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         expected = width * height * dt.itemsize
         if len(buf) - pos < expected:
@@ -180,24 +183,17 @@ def read_graymap_stack(paths) -> SpectralCube:
     return SpectralCube(np.stack(bands, axis=-1))
 
 
-def _head(path) -> bytes:
-    """The first four bytes of a file, where every format here has its magic."""
+def _is_hsc1(path) -> bool:
+    """Whether a file starts with the HSC1 magic; any other file is read as a graymap."""
     with open(path, "rb") as fh:
-        return fh.read(4)
+        return fh.read(4) == HSC1_MAGIC
 
 
 def load_cube(paths) -> SpectralCube:
     """The cube of one HSC1 file, or of one or more P5/P2 graymaps stacked by band."""
-    if not paths:
-        raise ValueError("no input file given")
-    if len(paths) > 1:
-        return read_graymap_stack(paths)
-    head = _head(paths[0])
-    if head == HSC1_MAGIC:
+    if len(paths) == 1 and _is_hsc1(paths[0]):
         return read_cube(paths[0])
-    if head[:2] in _GRAYMAP_MAGICS:
-        return read_graymap_stack(paths)
-    raise CubeFormatError(f"{paths[0]}: unrecognized input format {head!r}")
+    return read_graymap_stack(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +221,7 @@ def write_labels(labels: LabelMap, path) -> None:
 
 def read_label_values(path) -> np.ndarray:
     """Raw integer label grid from a P5/P2 graymap or single-band int64-valued HSC1 file."""
-    if _head(path)[:2] in _GRAYMAP_MAGICS:
+    if not _is_hsc1(path):
         return _read_graymap(path).astype(np.int64)
     samples = _hsc1_samples(path)
     if samples.shape[2] != 1:

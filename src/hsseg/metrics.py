@@ -1,12 +1,13 @@
-"""Spectral distances between pixel spectra, behind one metric interface.
+"""Spectral distances between pixels, as euclidean norms on one coordinate cube.
 
 Two metrics are provided. The euclidean distance compares raw spectra. The
 chi-squared distance compares marginal-normalized profiles: with band sums
 ``s_j``, per-pixel sums ``t_x`` and grand total ``N``, it is the euclidean
 distance between profiles ``f_j(x) / t_x`` after scaling band j by
-``sqrt(N / s_j)``. Both metrics therefore reduce internally to a euclidean
-norm on precomputed per-pixel coordinates, which keeps every caller (flat
-zones, seed ordering, eta growth, geodesic passes) on one path, `_norms`.
+``sqrt(N / s_j)``. `build_metric` turns either into a `SpectralCube` of
+per-pixel coordinates, the cube itself for euclidean, and every caller
+(flat zones, seed ordering, eta growth, geodesic passes) measures a
+distance as `_norms` of a coordinate difference.
 """
 
 from __future__ import annotations
@@ -37,44 +38,22 @@ def _norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
 
 
-class SpectralMetric:
-    """Distance context bound to one cube.
+def build_metric(cube: SpectralCube, kind: MetricKind) -> SpectralCube:
+    """The cube of per-pixel coordinates that every distance of a run is measured in.
 
-    Immutable after build, so it is safe to share between concurrent
-    readers. For chi-squared the marginals are folded into `coords` once
-    here, since segmentation passes evaluate distances O(K^2) times per
-    region. Every distance is `_norms` of a `coords_flat` difference, so the
-    edge weights, `seeds.pair_distances` and the eta seed rows agree bit for bit.
-    """
+    Euclidean coordinates are the spectra, so the cube itself is returned.
+    Chi-squared folds the marginals in once, into a new cube of profile
+    coordinates, since segmentation passes evaluate distances O(K^2) times
+    per region. Every distance is `_norms` of a difference of rows of the
+    result's `spectra`, so the edge weights, `seeds.pair_distances` and the
+    eta seed rows agree bit for bit.
 
-    __slots__ = ("kind", "width", "height", "bands", "coords")
-
-    def __init__(self, kind, coords):
-        self.kind = kind
-        self.coords = coords
-        self.height, self.width, self.bands = coords.shape
-
-    @property
-    def pixel_count(self) -> int:
-        return self.width * self.height
-
-    @property
-    def coords_flat(self) -> np.ndarray:
-        """(pixel_count, bands) view of the coordinate array, raster order."""
-        return self.coords.reshape(self.pixel_count, self.bands)
-
-    def __repr__(self) -> str:
-        return f"SpectralMetric({self.kind.value}, {self.width}x{self.height}x{self.bands})"
-
-
-def build_metric(cube: SpectralCube, kind: MetricKind) -> SpectralMetric:
-    """Build the distance context for a cube; chi-squared folds in its marginals.
-
-    Chi-squared requires non-negative data and strictly positive band and
-    pixel sums, otherwise the normalized profiles are undefined.
+    Chi-squared requires non-negative data, strictly positive band and
+    pixel sums, and a grand total and band scales ``sqrt(N / s_j)`` within
+    float64, otherwise the normalized profiles are undefined.
     """
     if kind is MetricKind.EUCLIDEAN:
-        return SpectralMetric(kind, cube.data)
+        return cube
     if kind is not MetricKind.CHI_SQUARED:
         raise ValueError(f"unknown metric kind: {kind!r}")
 
@@ -84,9 +63,14 @@ def build_metric(cube: SpectralCube, kind: MetricKind) -> SpectralMetric:
         raise ValueError(
             f"chi-squared requires non-negative values; data[x={x}, y={y}, band={j}] < 0"
         )
-    band_sums = data.sum(axis=(0, 1))
-    # The per-pixel sum runs over all L bands.
-    pixel_sums = data.sum(axis=2)
+    # Every band and pixel sum is at most the total, so a sum or a scale
+    # beyond float64 shows in the scales, and is raised below, not warned about.
+    with np.errstate(all="ignore"):
+        band_sums = data.sum(axis=(0, 1))
+        # The per-pixel sum runs over all L bands.
+        pixel_sums = data.sum(axis=2)
+        total = float(band_sums.sum())
+        scale = np.sqrt(total / band_sums)
     zero_bands = np.flatnonzero(band_sums == 0)
     if zero_bands.size:
         raise DegenerateMarginalError(f"band {int(zero_bands[0])} sums to zero")
@@ -94,10 +78,12 @@ def build_metric(cube: SpectralCube, kind: MetricKind) -> SpectralMetric:
     if zero_pix.size:
         y, x = (int(v) for v in zero_pix[0])
         raise DegenerateMarginalError(f"pixel (x={x}, y={y}) has zero spectral sum")
-    total = float(band_sums.sum())
-    coords = (data / pixel_sums[:, :, None]) * np.sqrt(total / band_sums)
-    coords.flags.writeable = False
-    return SpectralMetric(kind, coords)
+    wide = np.flatnonzero(~np.isfinite(scale))
+    if wide.size:
+        j = int(wide[0])
+        raise DegenerateMarginalError(f"the scale of band {j} overflows float64: "
+                                      f"total {total}, band sum {band_sums[j]}")
+    return SpectralCube(data / pixel_sums[:, :, None] * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +97,6 @@ class EdgeWeights:
     at the -1 entries. `build_edge_weights` makes both arrays read-only.
     """
 
-    connectivity: Connectivity
     neighbors: np.ndarray
     weights: np.ndarray
 
@@ -121,7 +106,7 @@ class EdgeWeights:
         return float(self.weights[forward].sum())
 
 
-def build_edge_weights(metric: SpectralMetric,
+def build_edge_weights(metric: SpectralCube,
                        connectivity: Connectivity = Connectivity.FOUR) -> EdgeWeights:
     h, w, n = metric.height, metric.width, metric.pixel_count
     padded = np.full((h + 2, w + 2), -1, dtype=np.int32)
@@ -129,7 +114,7 @@ def build_edge_weights(metric: SpectralMetric,
     neighbors = np.stack([padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w].ravel()
                           for dx, dy in connectivity.offsets], axis=1)
     weights = np.empty(neighbors.shape)
-    cf = metric.coords_flat
+    cf = metric.spectra
     rows = max(1, _BLOCK_BYTES // (8 * metric.bands * neighbors.shape[1]))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
@@ -140,4 +125,4 @@ def build_edge_weights(metric: SpectralMetric,
     weights[neighbors < 0] = np.inf
     # frozen, so a shared table keeps the symmetry every pass relies on
     neighbors.flags.writeable = weights.flags.writeable = False
-    return EdgeWeights(connectivity, neighbors, weights)
+    return EdgeWeights(neighbors, weights)

@@ -15,7 +15,7 @@ from functools import cached_property
 from .eta_regions import eta_bounded_regions
 from .flatzones import lambda_flat_zones
 from .grid import Connectivity, LabelMap, SpectralCube
-from .metrics import EdgeWeights, MetricKind, SpectralMetric, build_edge_weights, build_metric
+from .metrics import EdgeWeights, MetricKind, build_edge_weights, build_metric
 from .mu_balls import mu_geodesic_balls
 from .seeds import ClassOrdering, SeedOrder, order_classes
 
@@ -34,7 +34,7 @@ class Pipeline:
     distance of it is computed.
     """
 
-    metric: SpectralMetric
+    metric: SpectralCube
     edge_weights: EdgeWeights
     flat: LabelMap
     seed_order: SeedOrder | None

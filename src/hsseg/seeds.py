@@ -23,8 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import RegionSizeCapError
-from .grid import LabelMap
-from .metrics import _BLOCK_BYTES, SpectralMetric, _norms
+from .grid import LabelMap, SpectralCube
+from .metrics import _BLOCK_BYTES, _norms
 
 # Largest class the exact O(K^2) ordering accepts; a larger one fails it
 # before any distance is computed.
@@ -42,18 +42,18 @@ class SeedOrder(Enum):
 _COLLAPSE_MIN_PIXELS = 64
 
 
-def pair_distances(metric: SpectralMetric, pts: np.ndarray) -> np.ndarray:
+def pair_distances(metric: SpectralCube, pts: np.ndarray) -> np.ndarray:
     """All distances within each row of pts: (n, k) pixels give (n, k, k).
 
     [i, a, b] is _norms(c[i, b] - c[i, a]) for c the coordinates of pts, so
     row a holds the terms of _norms(coords - coords[a]) in the same order, and
     its sum and its comparisons keep their bits.
     """
-    c = metric.coords_flat[pts]
+    c = metric.spectra[pts]
     return _norms(c[:, None] - c[:, :, None])
 
 
-def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
+def _cumdist(metric: SpectralCube, pts_flat: np.ndarray) -> np.ndarray:
     """Exact O(K^2) cumulative distances for a class of at least the gate.
 
     Pixels with equal spectra have equal rows, and a row gathered from the
@@ -61,14 +61,14 @@ def _cumdist(metric: SpectralMetric, pts_flat: np.ndarray) -> np.ndarray:
     in the same raster order, so its sum has the same bits as the per-pixel
     row's: one row is computed per distinct spectrum.
     """
-    coords = metric.coords_flat[pts_flat]
+    coords = metric.spectra[pts_flat]
     uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
     inverse = inverse.ravel()  # numpy 2.0.0 returns it as (k, 1)
     sums = np.array([_norms(uniq - u)[inverse].sum() for u in uniq])
     return sums[inverse]
 
 
-def class_orderings(flat: LabelMap, metric: SpectralMetric, order: SeedOrder):
+def class_orderings(flat: LabelMap, metric: SpectralCube, order: SeedOrder):
     """Yield (label, class_pixels_flat, keys) per class of two or more pixels.
 
     One stable argsort of the labels groups the pixels, so each class comes
@@ -122,7 +122,7 @@ class ClassOrdering:
     offsets: np.ndarray
 
 
-def order_classes(flat: LabelMap, metric: SpectralMetric, order: SeedOrder) -> ClassOrdering:
+def order_classes(flat: LabelMap, metric: SpectralCube, order: SeedOrder) -> ClassOrdering:
     """Seed sequence of every class, from one pass over class_orderings.
 
     The keys go to one raster-indexed buffer, where one-pixel classes keep

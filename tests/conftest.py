@@ -64,10 +64,10 @@ def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST):
 def distance_row(metric, i, pts):
     """Distances from flat pixel i to each flat pixel in pts.
 
-    A `_norms` row of `coords_flat` differences: the one formula every
+    A `_norms` row of coordinate differences: the one formula every
     distance of the library is computed with.
     """
-    cf = metric.coords_flat
+    cf = metric.spectra
     return _norms(cf[pts] - cf[i])
 
 

@@ -199,10 +199,10 @@ def test_criterion_5_metric_axioms():
            f"{failures} failures, worst deviation {worst:.2e} <= 1e-9")
 
 
-def _sweep_counts(cube, pipeline, values, algo):
+def _sweep_counts(cube, kind, pipeline, values, algo):
     counts = []
     oracle_ok = True
-    kind, flat = pipeline.metric.kind, pipeline.flat
+    flat = pipeline.flat
     oracle = eta_regions_bruteforce if algo == "eta" else mu_balls_bruteforce
     for value in values:
         got = pipeline.refine(algo, value)
@@ -213,12 +213,12 @@ def _sweep_counts(cube, pipeline, values, algo):
 
 
 def test_criterion_6_region_count_trend(tooth):
-    pipeline = prepare(tooth, MetricKind.EUCLIDEAN, 10.0, Connectivity.FOUR,
-                       SeedOrder.MEDIAN_FIRST)
+    kind = MetricKind.EUCLIDEAN
+    pipeline = prepare(tooth, kind, 10.0, Connectivity.FOUR, SeedOrder.MEDIAN_FIRST)
     values = [float(v) for v in range(0, 101, 10)]
 
-    eta_counts, eta_oracle_ok = _sweep_counts(tooth, pipeline, values, "eta")
-    mu_counts, mu_oracle_ok = _sweep_counts(tooth, pipeline, values, "mu")
+    eta_counts, eta_oracle_ok = _sweep_counts(tooth, kind, pipeline, values, "eta")
+    mu_counts, mu_oracle_ok = _sweep_counts(tooth, kind, pipeline, values, "mu")
     eta_mono = all(a >= b for a, b in zip(eta_counts, eta_counts[1:]))
     mu_mono = all(a >= b for a, b in zip(mu_counts, mu_counts[1:]))
 

@@ -136,6 +136,15 @@ def test_graymap_inputs(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "regions: 1"
 
 
+def test_single_graymap_with_leading_comment(tmp_path, capsys):
+    # whitespace and a comment before the magic are read alone as in a stack
+    lead = tmp_path / "lead.pgm"
+    lead.write_bytes(b"  \n# c\nP2 2 1 5 3 3")
+    assert run_cli("flat", "--input", lead, "--lambda", 0, "--outdir", tmp_path) == 0
+    assert run_cli("stats", lead) == 0
+    assert capsys.readouterr().out == "regions: 1\nregions: 1\nregion_sizes: 2\n"
+
+
 def test_parse_grid():
     assert parse_grid("0:100:10") == [float(v) for v in range(0, 101, 10)]
     assert parse_grid("0:95:10")[-1] == 90.0
@@ -172,11 +181,15 @@ def test_error_exit_codes(tmp_path, capsys):
                        "--param=-1:1:1", "--outdir", out) == 2
         assert f"error: {algo} must be >= 0, got -1.0" in capsys.readouterr().err
         assert not out.exists()
-    # unreadable format
+    # unreadable format: not HSC1, so read as a graymap, whose magic is bad
     bad = tmp_path / "bad.hsc"
     bad.write_bytes(b"XXXXXXXXXXXXXXXXXXXXX")
-    assert run_cli("flat", "--input", bad, "--lambda", 1,
-                   "--outdir", tmp_path) == 3
+    capsys.readouterr()
+    for command in (("flat", "--input", bad, "--lambda", 1, "--outdir", tmp_path),
+                    ("stats", bad)):
+        assert run_cli(*command) == 3
+        assert (f"error: {bad}: bad magic b'XXXX' at byte 0, expected P5 or P2"
+                in capsys.readouterr().err)
     # a truncated cube: the message names the file and the byte offset
     trunc = tmp_path / "trunc.hsc"
     trunc.write_bytes(saw.read_bytes()[:30])
@@ -239,7 +252,16 @@ def test_error_exit_codes(tmp_path, capsys):
     zero.write_bytes(b"P5\n2 1\n255\n\x00\x05")
     assert run_cli("flat", "--input", zero, "--lambda", 1, "--metric", "chi2",
                    "--outdir", tmp_path) == 4
+    # finite samples whose chi-squared total overflows float64
+    huge = tmp_path / "huge.hsc"
+    data = np.ones((2, 2, 2))
+    data[0, 0] = data[1, 1] = 1e308
+    hsseg.write_cube(hsseg.SpectralCube(data), huge)
     capsys.readouterr()
+    assert run_cli("flat", "--input", huge, "--lambda", 0.5, "--metric", "chi2",
+                   "--outdir", tmp_path) == 4
+    assert ("error: the scale of band 0 overflows float64: total inf"
+            in capsys.readouterr().err)
 
 
 def test_unexpected_failure_exits_1(saw_file, tmp_path, capsys, monkeypatch):

@@ -145,7 +145,7 @@ def test_one_way_entry_still_joins_its_pixels():
     cube = SpectralCube(np.zeros((1, 2, 1)))
     metric = build_metric(cube, MetricKind.EUCLIDEAN)
     neighbors = np.array([[-1, -1, -1, 1], [-1, -1, -1, -1]], dtype=np.int32)
-    table = EdgeWeights(Connectivity.FOUR, neighbors, np.where(neighbors >= 0, 0.0, np.inf))
+    table = EdgeWeights(neighbors, np.where(neighbors >= 0, 0.0, np.inf))
     got = lambda_flat_zones(metric, table, 1.0)
     assert got.count == 1 and got.labels.tolist() == [[0, 0]]
 

@@ -233,7 +233,7 @@ def test_grow_members_are_the_settled_set(monkeypatch):
     # a chain 0 - 1 - 2 - 3 of one class with steps 1, 2, 0
     neighbors = np.array([[-1, 1], [0, 2], [1, 3], [2, -1]], dtype=np.int32)
     w = np.array([[np.inf, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, np.inf]])
-    edge_weights = EdgeWeights(Connectivity.FOUR, neighbors, w)
+    edge_weights = EdgeWeights(neighbors, w)
 
     def members(radius, owner=(0, 0, 0, 0), seed=0):
         # the lockstep step and the walk's region agree

@@ -9,7 +9,7 @@ from hsseg import (BadHeaderError, BadMagicError, CubeFormatError, LabelMap,
                    append_sweep_row, read_cube, read_graymap_stack,
                    read_labels, relabel_dense, write_cube, write_labels,
                    write_report)
-from hsseg.io import label_format, read_label_values
+from hsseg.io import label_format, load_cube, read_label_values
 
 
 def test_cube_roundtrip_bitwise(tmp_path):
@@ -185,6 +185,23 @@ def test_graymap_stack_dimension_mismatch(tmp_path):
         read_graymap_stack([])
 
 
+def test_input_is_hsc1_by_its_magic_and_a_graymap_otherwise(tmp_path):
+    # whitespace and a comment before a single graymap's magic, as in a stack
+    lead = tmp_path / "lead.pgm"
+    lead.write_bytes(b"  \n# c\nP2 1 1 5 3")
+    assert load_cube([lead]).data.ravel().tolist() == [3.0]
+    assert read_label_values(lead).tolist() == [[3]]
+    cube = tmp_path / "cube.hsc"
+    write_cube(SpectralCube(np.full((1, 1, 2), 4.0)), cube)
+    assert load_cube([cube]).data.ravel().tolist() == [4.0, 4.0]
+    # neither: a graymap with a bad magic, naming the file
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(b"HSC0" + bytes(20))
+    for read in (lambda p: load_cube([p]), read_label_values):
+        with pytest.raises(BadMagicError, match=r"blob\.bin: bad magic b'HSC0' at byte 0"):
+            read(blob)
+
+
 def test_p2_with_comments(tmp_path):
     p = tmp_path / "ascii.pgm"
     p.write_bytes(b"P2\n# a comment\n3 1\n# another\n20\n5 10 20\n")
@@ -226,10 +243,22 @@ def test_graymap_errors(tmp_path):
     bad.write_bytes(b"P7\n1 1\n255\n\x00")
     with pytest.raises(BadMagicError, match=r"bad\.pgm: bad magic b'P7' at byte 0"):
         read_graymap_stack([bad])
+    # the magic token's own offset, and at most four of its bytes
+    bad.write_bytes(b"# c\n P7\n1 1\n255\n\x00")
+    with pytest.raises(BadMagicError, match=r"bad magic b'P7' at byte 5, expected P5 or P2"):
+        read_graymap_stack([bad])
+    bad.write_bytes(b"\x00\x01\x02\x03" * 100)
+    with pytest.raises(BadMagicError, match=r"bad magic b'\\x00\\x01\\x02\\x03' at byte 0,"):
+        read_graymap_stack([bad])
     short = tmp_path / "short.pgm"
     short.write_bytes(b"P5\n2 2\n255\n\x00")
     with pytest.raises(TruncatedFileError,
                        match=r"short\.pgm: raster expects 4 bytes at offset 11, found 1"):
+        read_graymap_stack([short])
+    # a file that ends right after maxval has no separator byte either
+    short.write_bytes(b"P5 1 1 255")
+    with pytest.raises(TruncatedFileError,
+                       match=r"short\.pgm: raster expects 1 bytes at offset 10, found 0"):
         read_graymap_stack([short])
     header = tmp_path / "header.pgm"
     header.write_bytes(b"P5\n2 1")

@@ -57,6 +57,32 @@ def test_chi_squared_rejects_zero_band_sum():
         build_metric(cube, MetricKind.CHI_SQUARED)
 
 
+def test_chi_squared_rejects_sums_beyond_float64():
+    # finite samples whose total overflows would give NaN coordinates; a
+    # warning raised here fails the suite, so none escapes either
+    data = np.ones((2, 2, 2))
+    data[0, 0] = data[1, 1] = 1e308
+    with pytest.raises(DegenerateMarginalError,
+                       match=r"scale of band 0 overflows float64: total inf, band sum inf"):
+        build_metric(SpectralCube(data), MetricKind.CHI_SQUARED)
+    # a finite total, but a band sum so small that its scale overflows
+    data = np.ones((2, 2, 2))
+    data[:, :, 1] = 5e-324
+    data[0, 0, 0] = 1e308
+    with pytest.raises(DegenerateMarginalError,
+                       match=r"scale of band 1 overflows float64: total 1e\+308, band sum 2e-323"):
+        build_metric(SpectralCube(data), MetricKind.CHI_SQUARED)
+
+
+def test_build_metric_returns_the_coordinate_cube():
+    cube = two_pixel_cube()
+    assert build_metric(cube, MetricKind.EUCLIDEAN) is cube
+    chi = build_metric(cube, MetricKind.CHI_SQUARED)
+    assert isinstance(chi, SpectralCube) and chi.data.shape == cube.data.shape
+    assert not chi.data.flags.writeable and not chi.spectra.flags.writeable
+    assert chi.spectra.base is chi.data and chi.spectra.shape == (2, 2)
+
+
 def test_chi_squared_rejects_negative_values():
     cube = SpectralCube(np.array([[[1.0, -0.5], [1.0, 2.0]]]))
     with pytest.raises(ValueError, match="non-negative"):

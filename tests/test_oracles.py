@@ -31,4 +31,4 @@ def test_oracle_coordinates_are_bitwise_the_library_coordinates(cube, positive):
     for c, kind in ((cube, MetricKind.EUCLIDEAN), (positive, MetricKind.EUCLIDEAN),
                     (positive, MetricKind.CHI_SQUARED)):
         mine = np.asarray(oracles.coordinates(c, kind))
-        assert mine.tobytes() == build_metric(c, kind).coords.tobytes()
+        assert mine.tobytes() == build_metric(c, kind).data.tobytes()

@@ -111,8 +111,9 @@ def _random_partition(rng, h, w):
     return relabel_dense(raw.reshape(h, w))
 
 
-def _assert_matches_reference(cube, flat, metric, order):
-    classes, keys = reference_orderings(cube, metric.kind, flat, order is ANTI)
+def _assert_matches_reference(cube, flat, kind, order):
+    metric = build_metric(cube, kind)
+    classes, keys = reference_orderings(cube, kind, flat, order is ANTI)
     got = order_classes(flat, metric, order)
     assert got.offsets.tolist() == np.cumsum([0] + [len(c) for c in classes]).tolist()
     for c, ref in enumerate(classes):
@@ -164,15 +165,14 @@ def test_order_classes_matches_per_class_reference(order):
         h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         # quantized levels repeat spectra, so cumulative distances tie exactly
         cube = SpectralCube(rng.choice([0.0, 0.5, 1.0], size=(h, w, 2)))
-        metric = build_metric(cube, MetricKind.EUCLIDEAN)
         flat = _random_partition(rng, h, w)
-        _assert_matches_reference(cube, flat, metric, order)
+        _assert_matches_reference(cube, flat, MetricKind.EUCLIDEAN, order)
     # classes above the size gate, where repeated spectra share one distance
     # row; band counts at the block edges of numpy's pairwise sum
     for bands in (1, 7, 8, 9, 33, 128, 129):
         cube, flat = _repeated_spectra_cube(rng, bands)
         for kind in MetricKind:
-            _assert_matches_reference(cube, flat, build_metric(cube, kind), order)
+            _assert_matches_reference(cube, flat, kind, order)
 
 
 def _small_classes_cube(rng, bands, per_size=3, width=64):
@@ -206,9 +206,8 @@ def test_size_batches_match_per_class_reference(bands, monkeypatch):
                         lambda m, p: blocks.append(p.shape) or kernel(m, p))
     cube, flat = _small_classes_cube(np.random.default_rng(bands), bands)
     for kind in MetricKind:
-        metric = build_metric(cube, kind)
         for order in SeedOrder:
-            _assert_matches_reference(cube, flat, metric, order)
+            _assert_matches_reference(cube, flat, kind, order)
     # every size below the gate, in blocks under the budget; from 7 bands on
     # the largest classes take a block each
     gate = seeds._COLLAPSE_MIN_PIXELS
