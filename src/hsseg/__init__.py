@@ -20,16 +20,16 @@ from .io import (SegmentationReport, append_sweep_row, load_cube, read_cube,
 from .metrics import EdgeWeights, MetricKind, build_edge_weights, build_metric
 from .mu_balls import mu_geodesic_balls
 from .pipeline import Pipeline, prepare
-from .seeds import ClassOrdering, SeedOrder, order_classes
+from .seeds import SeedOrder, order_classes
 from .synth import tooth_saw_cube
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadHeaderError", "BadMagicError", "ClassOrdering", "Connectivity",
-    "CubeFormatError", "DegenerateMarginalError", "EdgeWeights",
-    "HssegError", "LabelMap", "MetricKind", "Pipeline", "RegionSizeCapError",
-    "SeedOrder", "SegmentationReport", "SpectralCube", "TruncatedFileError",
+    "BadHeaderError", "BadMagicError", "Connectivity", "CubeFormatError",
+    "DegenerateMarginalError", "EdgeWeights", "HssegError", "LabelMap",
+    "MetricKind", "Pipeline", "RegionSizeCapError", "SeedOrder",
+    "SegmentationReport", "SpectralCube", "TruncatedFileError",
     "append_sweep_row", "build_edge_weights", "build_metric",
     "eta_bounded_regions", "lambda_flat_zones", "load_cube",
     "mu_geodesic_balls", "order_classes", "prepare", "read_cube",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import CubeFormatError, DegenerateMarginalError, RegionSizeCapError
 from .grid import Connectivity, LabelMap, region_sizes, relabel_dense
-from .io import (SegmentationReport, append_sweep_row, label_format, load_cube,
+from .io import (SegmentationReport, append_sweep_row, label_file, load_cube,
                  read_label_values, write_cube, write_labels, write_report)
 from .metrics import MetricKind
 from .pipeline import Pipeline, _check_nonneg, prepare
@@ -40,7 +40,6 @@ MAX_GRID_VALUES = 10_000
 
 _METRICS = {"euclidean": MetricKind.EUCLIDEAN, "chi2": MetricKind.CHI_SQUARED}
 _ORDERS = {"median": SeedOrder.MEDIAN_FIRST, "antimedian": SeedOrder.ANTIMEDIAN_FIRST}
-_LABEL_FILES = {"p5": "labels.pgm", "hsc1": "labels.hsc"}
 
 
 def _pipeline(args: argparse.Namespace) -> Pipeline:
@@ -77,10 +76,8 @@ def _cmd_segment(args: argparse.Namespace) -> None:
     report = _report(args, args.command, param, labels, started)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = label_format(labels)
-    write_labels(labels, outdir / _LABEL_FILES[fmt])
-    extra = [] if fmt == "p5" else [f"labels_format: {fmt}"]
-    write_report(report, outdir / "report.txt", extra=extra)
+    write_labels(labels, outdir / label_file(labels))
+    write_report(report, outdir / "report.txt")
     append_sweep_row(report, outdir / "sweep.csv")
     print(f"regions: {report.regions}")
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import metrics
 from .grid import LabelMap, SpectralCube
 from .growth import _distinct, refine_classes
-from .metrics import _BLOCK_BYTES, EdgeWeights, _norms
-from .seeds import ClassOrdering
+from .metrics import EdgeWeights, _norms
 
 
 def eta_bounded_regions(metric: SpectralCube, edge_weights: EdgeWeights, flat: LabelMap,
-                        ordering: ClassOrdering, eta: float) -> LabelMap:
+                        ordering: np.ndarray, eta: float) -> LabelMap:
     """Refine a flat-zone partition into eta-bounded regions.
 
     The output refines `flat`; labels follow extraction order (class by
@@ -32,11 +32,11 @@ def eta_bounded_regions(metric: SpectralCube, edge_weights: EdgeWeights, flat: L
     seed only for the free class pixels a level reaches.
     """
     neighbors = edge_weights.neighbors
-    rows = max(1, _BLOCK_BYTES // (8 * metric.bands))
+    rows = max(1, metrics._BLOCK_BYTES // (8 * metric.bands))
     seed_of = np.empty(flat.count, dtype=np.int32)  # of a stepped class, its seed
 
     def step(owner: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        # seed rows in _BLOCK_BYTES blocks
+        # seed rows in metrics._BLOCK_BYTES blocks
         seed_of[owner[seeds]] = seeds
         front, members = seeds, []
         while len(front):

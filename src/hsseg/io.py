@@ -13,6 +13,7 @@ are one-line-per-field text plus an appendable CSV row for sweep curves.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -83,20 +84,18 @@ def read_cube(path) -> SpectralCube:
 # ---------------------------------------------------------------------------
 # Portable graymaps
 
-# A token runs up to netpbm whitespace. In the header a token that starts
-# with "#" opens a comment, which runs to the end of its line; the P2 raster
-# has no comments.
+# A raster token runs up to netpbm whitespace; the P2 raster has no comments.
 _TOKEN = re.compile(rb"[^ \t\r\n]+")
+# In the header a "#" also ends a token and opens a comment, which runs to
+# the end of its line, or of the file when no newline follows.
+_HEADER_TOKEN = re.compile(rb"#[^\n]*|[^ \t\r\n#]+")
 
 
 def _header_tokens(buf: bytes, path):
     """Yield the header's tokens as matches, with their offsets: the magic, then digits."""
-    pos, first = 0, True
-    while token := _TOKEN.search(buf, pos):
-        pos = token.end()
+    first = True
+    for token in _HEADER_TOKEN.finditer(buf):
         if token[0].startswith(b"#"):
-            # to the end of the line, or of the file when no newline follows
-            pos = buf.find(b"\n", token.start()) + 1 or len(buf)
             continue
         # after the magic, decimal digits only: int() would take a sign
         if not (first or token[0].isdigit()):
@@ -126,8 +125,14 @@ def _read_graymap(path) -> np.ndarray:
         raise BadHeaderError(
             f"{path}: maxval {maxval} at byte {tokens[2].start()} out of range 1..65535")
     pos = tokens[2].end()
+    if buf[pos:pos + 1] == b"#":
+        # one whitespace byte must separate a P5 maxval from the raster
+        if magic == b"P5":
+            start = tokens[2].start()
+            raise BadHeaderError(f"{path}: non-numeric header token "
+                                 f"{_TOKEN.match(buf, start)[0]!r} at byte {start}")
+        pos = buf.find(b"\n", pos) + 1 or len(buf)
     if magic == b"P5":
-        # single whitespace byte separates maxval from the raster
         pos = min(pos + 1, len(buf))
         dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         expected = width * height * dt.itemsize
@@ -164,9 +169,14 @@ def _read_graymap(path) -> np.ndarray:
     return samples.reshape(height, width)
 
 
+def _path_list(paths) -> list:
+    """paths as a list; one str, bytes or os.PathLike is a single path, not its characters."""
+    return [paths] if isinstance(paths, (str, bytes, os.PathLike)) else list(paths)
+
+
 def read_graymap_stack(paths) -> SpectralCube:
-    """Stack per-channel graymaps into a cube; band j comes from file j."""
-    paths = list(paths)
+    """Stack per-channel graymaps into a cube; band j comes from file j, or one path."""
+    paths = _path_list(paths)
     if not paths:
         raise ValueError("no input files")
     bands = []
@@ -191,6 +201,7 @@ def _is_hsc1(path) -> bool:
 
 def load_cube(paths) -> SpectralCube:
     """The cube of one HSC1 file, or of one or more P5/P2 graymaps stacked by band."""
+    paths = _path_list(paths)
     if len(paths) == 1 and _is_hsc1(paths[0]):
         return read_cube(paths[0])
     return read_graymap_stack(paths)
@@ -204,14 +215,14 @@ def load_cube(paths) -> SpectralCube:
 _P5_MAX_REGIONS = 65536
 
 
-def label_format(labels: LabelMap) -> str:
-    """The format write_labels uses for labels: "p5" while they fit, else "hsc1"."""
-    return "p5" if labels.count <= _P5_MAX_REGIONS else "hsc1"
+def label_file(labels: LabelMap) -> str:
+    """The file name of labels in write_labels' format: labels.pgm or labels.hsc."""
+    return "labels.pgm" if labels.count <= _P5_MAX_REGIONS else "labels.hsc"
 
 
 def write_labels(labels: LabelMap, path) -> None:
-    """Write labels in label_format(labels): 16-bit P5 when they fit, else single-band HSC1."""
-    if label_format(labels) == "p5":
+    """Write labels as a 16-bit P5 when they fit, else as a single-band HSC1 cube."""
+    if labels.count <= _P5_MAX_REGIONS:
         with open(path, "wb") as fh:
             fh.write(f"P5\n{labels.width} {labels.height}\n65535\n".encode("ascii"))
             fh.write(labels.labels.astype(">u2").tobytes())
@@ -296,10 +307,12 @@ def _fields(report: SegmentationReport, *, sizes: bool) -> dict[str, str]:
     return fields
 
 
-def write_report(report: SegmentationReport, path, *, extra=()) -> None:
-    """Write the one-line-per-field text report; `extra` appends note lines."""
+def write_report(report: SegmentationReport, path) -> None:
+    """Write the one-line-per-field text report, noting labels too many for a P5 map."""
     lines = [f"{name}: {text}" for name, text in _fields(report, sizes=True).items()]
-    Path(path).write_text("\n".join([*lines, *extra]) + "\n", encoding="ascii")
+    if report.regions > _P5_MAX_REGIONS:
+        lines.append("labels_format: hsc1")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def append_sweep_row(report: SegmentationReport, path) -> None:

@@ -19,7 +19,6 @@ import numpy as np
 from .grid import LabelMap
 from .growth import _distinct, refine_classes
 from .metrics import EdgeWeights
-from .seeds import ClassOrdering
 
 
 def _dijkstra_ball(edge_weights: EdgeWeights, owner: np.ndarray,
@@ -51,7 +50,7 @@ def _dijkstra_ball(edge_weights: EdgeWeights, owner: np.ndarray,
     return settled
 
 
-def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: ClassOrdering,
+def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: np.ndarray,
                       mu: float) -> LabelMap:
     """Refine a flat-zone partition into geodesic balls of radius mu.
 

@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .eta_regions import eta_bounded_regions
 from .flatzones import lambda_flat_zones
 from .grid import Connectivity, LabelMap, SpectralCube
 from .metrics import EdgeWeights, MetricKind, build_edge_weights, build_metric
 from .mu_balls import mu_geodesic_balls
-from .seeds import ClassOrdering, SeedOrder, order_classes
+from .seeds import SeedOrder, order_classes
 
 
 def _check_nonneg(name: str, value: float) -> None:
@@ -40,7 +42,7 @@ class Pipeline:
     seed_order: SeedOrder | None
 
     @cached_property
-    def ordering(self) -> ClassOrdering:
+    def ordering(self) -> np.ndarray:
         """The seed sequence of every flat zone, shared by both passes and all values."""
         if self.seed_order is None:
             raise ValueError("refinement needs a seed order")

@@ -8,8 +8,8 @@ refinement passes walk that one sequence and skip pixels an earlier region
 already took, so later seeds are medians of the original class ordering,
 not of the unassigned remainder. The ordering depends only on the flat
 partition, the metric and the seed order, so `order_classes` computes it
-once for all classes, and both passes and any number of parameter values
-share that one `ClassOrdering`. A one-pixel class needs no distance at all;
+once for all classes, as one index array, and both passes and any number
+of parameter values share it. A one-pixel class needs no distance at all;
 classes below `_COLLAPSE_MIN_PIXELS` are batched by size into one distance
 block each, and larger ones take one distance row per distinct spectrum.
 Every path gives the keys of the per-pixel row loop, bit for bit.
@@ -17,14 +17,14 @@ Every path gives the keys of the per-pixel row loop, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import metrics
 from .errors import RegionSizeCapError
 from .grid import LabelMap, SpectralCube
-from .metrics import _BLOCK_BYTES, _norms
+from .metrics import _norms
 
 # Largest class the exact O(K^2) ordering accepts; a larger one fails it
 # before any distance is computed.
@@ -78,7 +78,7 @@ def class_orderings(flat: LabelMap, metric: SpectralCube, order: SeedOrder):
     the generator starts, before any distance is computed. A one-pixel class
     has key 0.0 and is not yielded. Classes below _COLLAPSE_MIN_PIXELS come
     first, by size, and each batch of one size takes its keys from one
-    pair_distances block of at most _BLOCK_BYTES, or of one class; larger
+    pair_distances block of at most metrics._BLOCK_BYTES, or of one class; larger
     classes follow through _cumdist. Both give the bits of the per-pixel row
     loop.
     """
@@ -96,7 +96,7 @@ def class_orderings(flat: LabelMap, metric: SpectralCube, order: SeedOrder):
     np.cumsum(sizes, out=offsets[1:])
     for k in range(2, min(int(sizes.max()) + 1, _COLLAPSE_MIN_PIXELS)):
         same = np.flatnonzero(sizes == k)
-        batch = max(1, _BLOCK_BYTES // (k * k * metric.bands * 8))
+        batch = max(1, metrics._BLOCK_BYTES // (k * k * metric.bands * 8))
         for b in range(0, len(same), batch):
             labels = same[b:b + batch]
             pts = grouped[offsets[labels, None] + np.arange(k)]
@@ -108,32 +108,17 @@ def class_orderings(flat: LabelMap, metric: SpectralCube, order: SeedOrder):
         yield c, pts, sign * _cumdist(metric, pts)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassOrdering:
-    """Seed sequence of every class of one flat partition, as flat arrays.
+def order_classes(flat: LabelMap, metric: SpectralCube, order: SeedOrder) -> np.ndarray:
+    """The seed sequence: every raster index once, grouped by class, in seed order.
 
-    pixels holds each raster index once, grouped by class label and in seed
-    order within a class: class c is pixels[offsets[c]:offsets[c + 1]]. It
-    depends only on the partition, the metric and the seed order, so one
-    instance serves both passes and every parameter value.
-    """
-
-    pixels: np.ndarray
-    offsets: np.ndarray
-
-
-def order_classes(flat: LabelMap, metric: SpectralCube, order: SeedOrder) -> ClassOrdering:
-    """Seed sequence of every class, from one pass over class_orderings.
-
-    The keys go to one raster-indexed buffer, where one-pixel classes keep
-    0.0, and one stable lexsort over (label, key) orders all classes at once:
-    ties in cumulative distance break on ascending raster index.
+    It depends only on the partition, the metric and the seed order, so one
+    array serves both passes and every parameter value. The keys of
+    class_orderings go to one raster-indexed buffer, where one-pixel classes
+    keep 0.0, and one stable lexsort over (label, key) orders all classes at
+    once: ties in cumulative distance break on ascending raster index.
     """
     lab = flat.labels.ravel()
     keys = np.zeros(lab.size)
     for _, pts, class_keys in class_orderings(flat, metric, order):
         keys[pts] = class_keys
-    pixels = np.lexsort((keys, lab))
-    offsets = np.zeros(flat.count + 1, dtype=np.intp)
-    np.cumsum(np.bincount(lab, minlength=flat.count), out=offsets[1:])
-    return ClassOrdering(pixels, offsets)
+    return np.lexsort((keys, lab))

@@ -56,8 +56,7 @@ def region_seeds(metric, region, order=SeedOrder.MEDIAN_FIRST):
     for c, pts, keys in class_orderings(flat, metric, order):
         if c == 0:
             key = {PixelIndex(i % w, i // w): float(k) for i, k in zip(pts.tolist(), keys)}
-    ordering = order_classes(flat, metric, order)
-    first = ordering.pixels[:ordering.offsets[1]]
+    first = order_classes(flat, metric, order)[:len(key)]
     return key, [PixelIndex(i % w, i // w) for i in first.tolist()]
 
 

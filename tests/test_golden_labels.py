@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from hsseg import Connectivity, MetricKind, SeedOrder, SpectralCube, prepare
-from hsseg import eta_regions, growth, metrics, seeds
+from hsseg import growth, metrics, seeds
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path(__file__).with_name("golden_labels.json")
@@ -101,8 +101,7 @@ def test_matrix_keeps_its_labels(gates, monkeypatch):
     if gates == "extreme":
         monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
         monkeypatch.setattr(seeds, "_COLLAPSE_MIN_PIXELS", 2)
-        for module in (metrics, seeds, eta_regions):
-            monkeypatch.setattr(module, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)
     table = _table()
     assert matrix_digests() == {k: v for k, v in table.items() if k.startswith("matrix/")}
 

@@ -9,7 +9,7 @@ from hsseg import (BadHeaderError, BadMagicError, CubeFormatError, LabelMap,
                    append_sweep_row, read_cube, read_graymap_stack,
                    read_labels, relabel_dense, write_cube, write_labels,
                    write_report)
-from hsseg.io import label_format, load_cube, read_label_values
+from hsseg.io import label_file, load_cube, read_label_values
 
 
 def test_cube_roundtrip_bitwise(tmp_path):
@@ -98,7 +98,7 @@ def test_zero_dims_and_short_header(tmp_path):
 def test_labels_p5_bytes(tmp_path):
     labels = LabelMap(np.array([[0, 1], [2, 3]]))
     path = tmp_path / "l.pgm"
-    assert label_format(labels) == "p5"
+    assert label_file(labels) == "labels.pgm"
     write_labels(labels, path)
     blob = path.read_bytes()
     header = b"P5\n2 2\n65535\n"
@@ -121,7 +121,7 @@ def test_labels_hsc1_fallback(tmp_path):
     # more distinct labels than a 16-bit graymap can carry
     big = relabel_dense(np.arange(257 * 256).reshape(257, 256))
     path = tmp_path / "big.labels"
-    assert label_format(big) == "hsc1"
+    assert label_file(big) == "labels.hsc"
     write_labels(big, path)
     back = read_labels(path)
     assert np.array_equal(back.labels, big.labels)
@@ -194,6 +194,12 @@ def test_input_is_hsc1_by_its_magic_and_a_graymap_otherwise(tmp_path):
     cube = tmp_path / "cube.hsc"
     write_cube(SpectralCube(np.full((1, 1, 2), 4.0)), cube)
     assert load_cube([cube]).data.ravel().tolist() == [4.0, 4.0]
+    # one str or path-like is one file, not a sequence of its characters
+    for path in (str(cube), cube):
+        assert load_cube(path).data.ravel().tolist() == [4.0, 4.0]
+    for path in (str(lead), lead):
+        assert load_cube(path).data.ravel().tolist() == [3.0]
+        assert read_graymap_stack(path).data.ravel().tolist() == [3.0]
     # neither: a graymap with a bad magic, naming the file
     blob = tmp_path / "blob.bin"
     blob.write_bytes(b"HSC0" + bytes(20))
@@ -207,6 +213,22 @@ def test_p2_with_comments(tmp_path):
     p.write_bytes(b"P2\n# a comment\n3 1\n# another\n20\n5 10 20\n")
     cube = read_graymap_stack([p])
     assert cube.data[0, :, 0].tolist() == [5.0, 10.0, 20.0]
+
+
+def test_header_comments_glued_to_tokens(tmp_path):
+    # a "#" right after the magic, width, height or a P2 maxval opens a comment
+    p = tmp_path / "glued.pgm"
+    for blob in (b"P2\n2 1\n9# max\n3 4\n", b"P2\n2#w\n1 9\n3 4\n",
+                 b"P2# plain\n2 1# h\n9\n3 4\n", b"P2 2 1 9#\n3 4"):
+        p.write_bytes(blob)
+        assert read_graymap_stack([p]).data.ravel().tolist() == [3.0, 4.0]
+    p.write_bytes(b"P5#raw\n2#w\n1#h\n255\n\x03\x04")
+    assert read_graymap_stack([p]).data.ravel().tolist() == [3.0, 4.0]
+    # a P5 maxval is followed by exactly one whitespace byte, so "#" is part of it
+    p.write_bytes(b"P5\n2 1\n255#c\n\x03\x04")
+    with pytest.raises(BadHeaderError,
+                       match=r"glued\.pgm: non-numeric header token b'255#c' at byte 7"):
+        read_graymap_stack([p])
 
 
 def test_p2_rejects_non_integer_and_negative_samples(tmp_path):
@@ -331,14 +353,19 @@ def test_report_from_labels():
 
 def test_write_report_text(tmp_path):
     path = tmp_path / "report.txt"
-    write_report(_report(), path, extra=["labels_format: p5"])
+    write_report(_report(), path)
     text = path.read_text()
     assert "algorithm: flat\n" in text
     assert "lambda: 9.9\n" in text
     assert "param: \n" in text
     assert "regions: 2\n" in text
     assert "region_sizes: 3 1\n" in text
-    assert text.endswith("labels_format: p5\n")
+    assert text.endswith("millis: 1.500\n")
+    # labels past a 16-bit graymap go to a single-band HSC1 file, which the report notes
+    write_report(_report(region_sizes=(1,) * 65536), path)
+    assert path.read_text().endswith("millis: 1.500\n")
+    write_report(_report(region_sizes=(1,) * 65537), path)
+    assert path.read_text().endswith("millis: 1.500\nlabels_format: hsc1\n")
 
 
 def test_report_text_of_a_map_with_many_regions(tmp_path):

@@ -115,9 +115,7 @@ def _assert_matches_reference(cube, flat, kind, order):
     metric = build_metric(cube, kind)
     classes, keys = reference_orderings(cube, kind, flat, order is ANTI)
     got = order_classes(flat, metric, order)
-    assert got.offsets.tolist() == np.cumsum([0] + [len(c) for c in classes]).tolist()
-    for c, ref in enumerate(classes):
-        assert got.pixels[got.offsets[c]:got.offsets[c + 1]].tolist() == ref.tolist()
+    assert got.tolist() == np.concatenate(classes).tolist()
     yielded = []
     for c, pts, key in class_orderings(flat, metric, order):
         yielded.append(c)
@@ -228,15 +226,22 @@ def test_block_budget_and_gate_do_not_change_keys_or_labels(monkeypatch):
         mu = pipeline.refine("mu", 1.5)
         assert flat.count < eta.count < flat.labels.size
         assert flat.count < mu.count < flat.labels.size
-        return ordering.pixels.tolist(), keys, eta.labels.tolist(), mu.labels.tolist()
+        return ordering.tolist(), keys, eta.labels.tolist(), mu.labels.tolist()
 
+    # rows per ordering block and per eta distance block
+    rows = []
+    for module, name in ((seeds, "pair_distances"), (eta_regions, "_seed_rows")):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda m, p, *seed, kernel=kernel:
+                            rows.append(len(p)) or kernel(m, p, *seed))
     batched = run()
+    assert max(rows) > 1
     # one class per ordering block, one pixel per eta distance block and one
-    # row per edge table block: the budget lives in metrics, and seeds and
-    # eta_regions hold their imported copies
-    for module in (metrics, seeds, eta_regions):
-        monkeypatch.setattr(module, "_BLOCK_BYTES", 1)
+    # row per edge table block: the one budget lives in metrics
+    rows.clear()
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)
     assert run() == batched
+    assert set(rows) == {1}
     # no batches at all: every class through _cumdist and per-seed growth
     monkeypatch.setattr(seeds, "_COLLAPSE_MIN_PIXELS", 2)
     monkeypatch.setattr(growth, "_LOCKSTEP_MAX_PIXELS", 1)
@@ -322,8 +327,7 @@ def test_singleton_classes_skip_the_kernel(monkeypatch):
     # one block for the one class of three pixels, none for the singletons
     assert calls == [("pair_distances", (1, 3))]
     # class 0 holds values 0, 1, 4 (cumdists 5, 4, 7): median first
-    classes = [got.pixels[a:b].tolist() for a, b in zip(got.offsets[:-1], got.offsets[1:])]
-    assert classes == [[1, 0, 4], [2], [3], [5]]
+    assert got.tolist() == [1, 0, 4, 2, 3, 5]
 
 
 def test_region_cap_checked_before_any_kernel_call(monkeypatch):
