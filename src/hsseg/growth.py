@@ -17,8 +17,8 @@ from .grid import LabelMap
 # 128, eta by 27-71 times and mu by 6-12. On the many-classes cube gate 128 was
 # slower than 16 nowhere, and at lambda 0.035 8-conn and 0.04 4-conn eta ran 5-7
 # and mu 3-4 times faster. Above it the walk wins: stepping hsbench's one large
-# class (seed 7, 2-vCPU Xeon, medians of 5 alternating) took one-class eta 38 ->
-# 55 ms and mu 16 -> 41, and the sweeps' eta 60 -> 95 ms and mu 49 -> 83.
+# class (seed 7, 2-vCPU Xeon, medians of 5 alternating, a pass's jobs summed)
+# took one-class eta 38 -> 55 ms and mu 16 -> 41, sweep eta 60 -> 95 and mu 49 -> 83.
 _LOCKSTEP_MAX_PIXELS = 128
 
 

@@ -78,9 +78,9 @@ def class_orderings(flat: LabelMap, metric: SpectralCube, order: SeedOrder):
     the generator starts, before any distance is computed. A one-pixel class
     has key 0.0 and is not yielded. Classes below _COLLAPSE_MIN_PIXELS come
     first, by size, and each batch of one size takes its keys from one
-    pair_distances block of at most metrics._BLOCK_BYTES, or of one class; larger
-    classes follow through _cumdist. Both give the bits of the per-pixel row
-    loop.
+    pair_distances block of at most metrics._BLOCK_BYTES, or of one class;
+    larger classes follow through _cumdist. Both give the bits of the
+    per-pixel row loop.
     """
     lab = flat.labels.ravel()
     grouped = np.argsort(lab, kind="stable")
