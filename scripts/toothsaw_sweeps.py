@@ -2,21 +2,18 @@
 """Desk-scale experiment: zone counts and refinement sweeps on the saw cube.
 
 Reproduces the calibration numbers (21 zones at lambda 9.9, one zone at 10)
-and prints the region-count curves for both refinement passes at lambda 10,
-optionally appending them to a CSV sweep file.
+and prints the region-count curves for both refinement passes at lambda 10.
+`hsseg sweep` writes such a curve as CSV rows.
 """
 
 import argparse
-import time
 
-from hsseg import (Connectivity, MetricKind, SeedOrder, SegmentationReport,
-                   append_sweep_row, prepare, tooth_saw_cube)
+from hsseg import Connectivity, MetricKind, SeedOrder, prepare, tooth_saw_cube
 from hsseg.cli import parse_grid
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--csv", help="append sweep rows to this file")
     parser.add_argument("--step", type=float, default=10.0,
                         help="sweep increment for eta and mu (default 10)")
     parser.add_argument("--stop", type=float, default=100.0,
@@ -39,19 +36,8 @@ def main():
     print(f"\nrefinement sweeps at lambda=10 ({len(values)} values)")
     print(f"{'param':>8}  {'eta regions':>12}  {'mu regions':>12}")
     for value in values:
-        t0 = time.perf_counter()
-        eta_out = pipeline.refine("eta", value)
-        eta_ms = (time.perf_counter() - t0) * 1000
-        t0 = time.perf_counter()
-        mu_out = pipeline.refine("mu", value)
-        mu_ms = (time.perf_counter() - t0) * 1000
-        print(f"{value:>8g}  {eta_out.count:>12}  {mu_out.count:>12}")
-        if args.csv:
-            for algo, out, ms in (("eta", eta_out, eta_ms), ("mu", mu_out, mu_ms)):
-                append_sweep_row(SegmentationReport.from_labels(
-                    out, algorithm=algo, metric="euclidean", lam=10.0,
-                    param=value, connectivity=4, seed_order="median",
-                    millis=ms), args.csv)
+        eta, mu = (pipeline.refine(algo, value).count for algo in ("eta", "mu"))
+        print(f"{value:>8g}  {eta:>12}  {mu:>12}")
 
     total = pipeline.edge_weights.total_weight()
     forced = pipeline.refine("mu", total)

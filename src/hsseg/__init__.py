@@ -12,8 +12,7 @@ from .errors import (BadHeaderError, BadMagicError, CubeFormatError,
                      TruncatedFileError)
 from .eta_regions import eta_bounded_regions
 from .flatzones import lambda_flat_zones
-from .grid import (Connectivity, LabelMap, SpectralCube, region_sizes,
-                   relabel_dense)
+from .grid import Connectivity, LabelMap, SpectralCube, relabel_dense
 from .io import (SegmentationReport, append_sweep_row, load_cube, read_cube,
                  read_graymap_stack, read_labels, write_cube, write_labels,
                  write_report)
@@ -33,6 +32,6 @@ __all__ = [
     "append_sweep_row", "build_edge_weights", "build_metric",
     "eta_bounded_regions", "lambda_flat_zones", "load_cube",
     "mu_geodesic_balls", "order_classes", "prepare", "read_cube",
-    "read_graymap_stack", "read_labels", "region_sizes", "relabel_dense",
-    "tooth_saw_cube", "write_cube", "write_labels", "write_report",
+    "read_graymap_stack", "read_labels", "relabel_dense", "tooth_saw_cube",
+    "write_cube", "write_labels", "write_report",
 ]

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .errors import CubeFormatError, DegenerateMarginalError, RegionSizeCapError
-from .grid import Connectivity, LabelMap, region_sizes, relabel_dense
+from .grid import Connectivity, LabelMap, relabel_dense
 from .io import (SegmentationReport, append_sweep_row, label_file, load_cube,
                  read_label_values, write_cube, write_labels, write_report)
 from .metrics import MetricKind
@@ -52,7 +52,7 @@ def _report(args: argparse.Namespace, algorithm: str, param: float | None,
             labels: LabelMap, started: float) -> SegmentationReport:
     """The run's report of labels; its millis runs from started to now."""
     millis = (time.perf_counter() - started) * 1000.0
-    return SegmentationReport.from_labels(
+    return SegmentationReport(
         labels, algorithm=algorithm, metric=args.metric, lam=args.lam, param=param,
         connectivity=args.connectivity, seed_order=args.seed_order, millis=millis)
 
@@ -79,7 +79,7 @@ def _cmd_segment(args: argparse.Namespace) -> None:
     write_labels(labels, outdir / label_file(labels))
     write_report(report, outdir / "report.txt")
     append_sweep_row(report, outdir / "sweep.csv")
-    print(f"regions: {report.regions}")
+    print(f"regions: {labels.count}")
 
 
 def parse_grid(text: str) -> list[float]:
@@ -113,7 +113,7 @@ def _cmd_sweep(args: argparse.Namespace, values: list[float]) -> None:
         labels = pipeline.refine(args.algo, value)
         report = _report(args, args.algo, value, labels, started)
         append_sweep_row(report, outdir / "sweep.csv")
-        print(f"{args.algo} {value:g}: regions={report.regions}")
+        print(f"{args.algo} {value:g}: regions={labels.count}")
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
@@ -126,7 +126,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 def _cmd_stats(args: argparse.Namespace) -> None:
     labels = relabel_dense(read_label_values(args.labels_path))
     print(f"regions: {labels.count}")
-    print("region_sizes: " + " ".join(map(str, region_sizes(labels).tolist())))
+    print("region_sizes: " + " ".join(map(str, labels.sizes.tolist())))
 
 
 def run(args: argparse.Namespace) -> int:
@@ -147,8 +147,6 @@ def run(args: argparse.Namespace) -> int:
             _cmd_sweep(args, grid)
         elif args.command == "stats":
             _cmd_stats(args)
-        else:
-            raise ValueError(f"unknown command {args.command!r}")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code, _ in EXIT_CODES if isinstance(exc, types))

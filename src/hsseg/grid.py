@@ -66,13 +66,14 @@ class SpectralCube:
 class LabelMap:
     """Dense non-negative region labels over the grid, one per pixel.
 
-    Labels must be exactly {0, ..., count-1}. Per-class connectivity is a
-    contract of the segmentation passes that produce label maps (it depends
+    Labels must be exactly {0, ..., count-1}, and ``sizes`` holds the pixel
+    count of each, indexed by label and read-only. Per-class connectivity is
+    a contract of the segmentation passes that produce label maps (it depends
     on the run's connectivity) and is recounted in the tests by
     `classes_are_connected` in tests/oracles.py, not enforced here.
     """
 
-    __slots__ = ("labels", "count")
+    __slots__ = ("labels", "count", "sizes")
 
     def __init__(self, labels, count: int | None = None) -> None:
         arr = np.array(labels)
@@ -86,14 +87,16 @@ class LabelMap:
         # before the bincount keeps a huge label from allocating
         used = int(arr.max()) + 1
         if (arr.min() != 0 or used > arr.size
-                or not np.bincount(arr.ravel().astype(np.intp)).all()):
+                or not (sizes := np.bincount(arr.ravel().astype(np.intp))).all()):
             raise ValueError("labels must be dense: used labels must be exactly 0..count-1")
         if count is not None and count != used:
             raise ValueError(f"declared count {count} does not match {used} used labels")
         arr = arr.astype(np.int32, copy=False)
         arr.flags.writeable = False
+        sizes.flags.writeable = False
         self.labels = arr
         self.count = used
+        self.sizes = sizes
 
     @property
     def width(self) -> int:
@@ -117,9 +120,3 @@ def relabel_dense(raw) -> LabelMap:
     remap = np.empty(len(uniq), dtype=np.int32)
     remap[np.argsort(first, kind="stable")] = np.arange(len(uniq), dtype=np.int32)
     return LabelMap(remap[inverse].reshape(arr.shape))
-
-
-def region_sizes(labels: LabelMap) -> np.ndarray:
-    """Pixel count per label, indexed by label."""
-    return np.bincount(labels.labels.ravel(), minlength=labels.count)
-

@@ -44,7 +44,7 @@ def refine_classes(flat: LabelMap, ordering: np.ndarray, step, region) -> LabelM
     so a region's label counts the seeds at earlier places than its seed's.
     """
     lab = flat.labels.ravel()
-    sizes = np.bincount(lab, minlength=flat.count)
+    sizes = flat.sizes
     # place[p]: the place in ordering of the seed of p's region; every pixel
     # starts as its own seed, which a one-pixel class keeps
     place = np.empty(lab.size, dtype=np.int32)

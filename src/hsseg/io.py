@@ -16,13 +16,13 @@ from __future__ import annotations
 import os
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadHeaderError, BadMagicError, CubeFormatError, TruncatedFileError
-from .grid import LabelMap, SpectralCube, region_sizes
+from .grid import LabelMap, SpectralCube
 
 HSC1_MAGIC = b"HSC1"
 _GRAYMAP_MAGICS = (b"P5", b"P2")
@@ -87,8 +87,8 @@ def read_cube(path) -> SpectralCube:
 # A raster token runs up to netpbm whitespace; the P2 raster has no comments.
 _TOKEN = re.compile(rb"[^ \t\r\n]+")
 # In the header a "#" also ends a token and opens a comment, which runs to
-# the end of its line, or of the file when no newline follows.
-_HEADER_TOKEN = re.compile(rb"#[^\n]*|[^ \t\r\n#]+")
+# the next CR or LF, or to the end of the file when neither follows.
+_HEADER_TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n#]+")
 
 
 def _header_tokens(buf: bytes, path):
@@ -131,7 +131,7 @@ def _read_graymap(path) -> np.ndarray:
             start = tokens[2].start()
             raise BadHeaderError(f"{path}: non-numeric header token "
                                  f"{_TOKEN.match(buf, start)[0]!r} at byte {start}")
-        pos = buf.find(b"\n", pos) + 1 or len(buf)
+        pos = min(_HEADER_TOKEN.match(buf, pos).end() + 1, len(buf))
     if magic == b"P5":
         pos = min(pos + 1, len(buf))
         dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
@@ -259,32 +259,17 @@ def read_labels(path) -> LabelMap:
 
 @dataclass(frozen=True)
 class SegmentationReport:
-    """Parameters and outcome of one segmentation run."""
+    """The label map of one segmentation run and the parameters that made it."""
 
+    labels: LabelMap
+    _: KW_ONLY
     algorithm: str                 # "flat" | "eta" | "mu"
     metric: str
     lam: float
     param: float | None            # eta or mu value; None for flat runs
     connectivity: int
     seed_order: str | None         # None for flat runs
-    region_sizes: tuple[int, ...]
     millis: float
-
-    def __post_init__(self):
-        if min(self.region_sizes, default=1) < 1:
-            raise ValueError("region sizes must be positive")
-
-    @property
-    def regions(self) -> int:
-        return len(self.region_sizes)
-
-    @classmethod
-    def from_labels(cls, labels: LabelMap, *, algorithm, metric, lam, param,
-                    connectivity, seed_order, millis) -> "SegmentationReport":
-        sizes = tuple(region_sizes(labels).tolist())
-        return cls(algorithm=algorithm, metric=metric, lam=lam, param=param,
-                   connectivity=connectivity, seed_order=seed_order,
-                   region_sizes=sizes, millis=millis)
 
 
 def _fmt(value) -> str:
@@ -300,9 +285,9 @@ def _fields(report: SegmentationReport, *, sizes: bool) -> dict[str, str]:
     fields = {"algorithm": report.algorithm, "metric": report.metric,
               "lambda": _fmt(report.lam), "param": _fmt(report.param),
               "connectivity": _fmt(report.connectivity),
-              "seed_order": _fmt(report.seed_order), "regions": _fmt(report.regions)}
+              "seed_order": _fmt(report.seed_order), "regions": _fmt(report.labels.count)}
     if sizes:
-        fields["region_sizes"] = " ".join(map(str, report.region_sizes))
+        fields["region_sizes"] = " ".join(map(str, report.labels.sizes.tolist()))
     fields["millis"] = f"{report.millis:.3f}"
     return fields
 
@@ -310,7 +295,7 @@ def _fields(report: SegmentationReport, *, sizes: bool) -> dict[str, str]:
 def write_report(report: SegmentationReport, path) -> None:
     """Write the one-line-per-field text report, noting labels too many for a P5 map."""
     lines = [f"{name}: {text}" for name, text in _fields(report, sizes=True).items()]
-    if report.regions > _P5_MAX_REGIONS:
+    if report.labels.count > _P5_MAX_REGIONS:
         lines.append("labels_format: hsc1")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

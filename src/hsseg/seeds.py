@@ -84,7 +84,7 @@ def class_orderings(flat: LabelMap, metric: SpectralCube, order: SeedOrder):
     """
     lab = flat.labels.ravel()
     grouped = np.argsort(lab, kind="stable")
-    sizes = np.bincount(lab, minlength=flat.count)
+    sizes = flat.sizes
     over = np.flatnonzero(sizes > MAX_REGION_SIZE)
     if len(over):
         c = int(over[0])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,11 +33,16 @@ def test_flat_run_reports_21_zones(saw_file, tmp_path, capsys):
     assert run_cli("flat", "--input", saw_file, "--lambda", 9.9,
                    "--outdir", out) == 0
     assert capsys.readouterr().out.strip() == "regions: 21"
-    report = (out / "report.txt").read_text()
-    assert "regions: 21\n" in report
-    assert "lambda: 9.9\n" in report
+    report, millis = (out / "report.txt").read_text().split("millis: ")
+    assert report == ("algorithm: flat\nmetric: euclidean\nlambda: 9.9\nparam: \n"
+                      "connectivity: 4\nseed_order: \nregions: 21\n"
+                      "region_sizes: " + " ".join(["21"] * 21) + "\n")
+    assert re.fullmatch(r"\d+\.\d{3}\n", millis)
     csv = (out / "sweep.csv").read_text().splitlines()
-    assert csv[1].split(",")[6] == "21"
+    assert csv[0] == "algorithm,metric,lambda,param,connectivity,seed_order,regions,millis"
+    row, csv_millis = csv[1].rsplit(",", 1)
+    assert (row, csv_millis) == ("flat,euclidean,9.9,,4,,21", millis.strip())
+    assert len(csv) == 2
     labels = read_labels(out / "labels.pgm")
     assert labels.count == 21
 
@@ -120,8 +126,9 @@ def test_label_fallback_noted_in_report(tmp_path, capsys):
     assert run_cli("flat", "--input", src, "--lambda", 0, "--outdir", out) == 0
     assert capsys.readouterr().out.strip() == f"regions: {257 * 256}"
     assert (out / "labels.hsc").exists()
-    report = (out / "report.txt").read_text()
-    assert "labels_format: hsc1" in report
+    last = (out / "report.txt").read_text().splitlines()[-2:]
+    assert re.fullmatch(r"millis: \d+\.\d{3}", last[0])
+    assert last[1] == "labels_format: hsc1"
     back = read_labels(out / "labels.hsc")
     assert back.count == 257 * 256
 

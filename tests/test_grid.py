@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsseg import (Connectivity, LabelMap, SpectralCube, region_sizes,
-                   relabel_dense)
+from hsseg import Connectivity, LabelMap, SpectralCube, relabel_dense
 
 from oracles import classes_are_connected, is_refinement, neighbors
 
@@ -145,7 +144,9 @@ def test_is_refinement_partial_order(ints):
 
 def test_region_sizes_counts_pixels():
     m = LabelMap(np.array([[0, 0, 1], [2, 1, 1]]))
-    assert region_sizes(m).tolist() == [2, 3, 1]
+    assert m.sizes.tolist() == [2, 3, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        m.sizes[0] = 5
 
 
 def test_classes_are_connected():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 
@@ -216,13 +217,18 @@ def test_p2_with_comments(tmp_path):
 
 
 def test_header_comments_glued_to_tokens(tmp_path):
-    # a "#" right after the magic, width, height or a P2 maxval opens a comment
+    # a "#" right after the magic, width, height or a P2 maxval opens a
+    # comment, which a CR ends as an LF does
     p = tmp_path / "glued.pgm"
     for blob in (b"P2\n2 1\n9# max\n3 4\n", b"P2\n2#w\n1 9\n3 4\n",
-                 b"P2# plain\n2 1# h\n9\n3 4\n", b"P2 2 1 9#\n3 4"):
+                 b"P2# plain\n2 1# h\n9\n3 4\n", b"P2 2 1 9#\n3 4",
+                 b"P2\r# c\r2 1 9\r3 4\r", b"P2\r2 1 9#c\r3 4\r",
+                 b"P2 2#w\r\n1 9#\r3 4"):
         p.write_bytes(blob)
         assert read_graymap_stack([p]).data.ravel().tolist() == [3.0, 4.0]
     p.write_bytes(b"P5#raw\n2#w\n1#h\n255\n\x03\x04")
+    assert read_graymap_stack([p]).data.ravel().tolist() == [3.0, 4.0]
+    p.write_bytes(b"P5#raw\r2#w\r1#h\r255\n\x03\x04")
     assert read_graymap_stack([p]).data.ravel().tolist() == [3.0, 4.0]
     # a P5 maxval is followed by exactly one whitespace byte, so "#" is part of it
     p.write_bytes(b"P5\n2 1\n255#c\n\x03\x04")
@@ -329,26 +335,31 @@ def test_graymap_errors(tmp_path):
     assert read_graymap_stack([tail]).data.ravel().tolist() == [1.0, 2.0]
 
 
-def _report(**overrides):
+def _report(labels=((0, 0, 0, 1),), **overrides):
     fields = dict(algorithm="flat", metric="euclidean", lam=9.9, param=None,
-                  connectivity=4, seed_order=None,
-                  region_sizes=(3, 1), millis=1.5)
+                  connectivity=4, seed_order=None, millis=1.5)
     fields.update(overrides)
-    return SegmentationReport(**fields)
+    return SegmentationReport(LabelMap(np.array(labels)), **fields)
 
 
 def test_report_invariants():
-    with pytest.raises(ValueError):
-        _report(region_sizes=(3, 0))
-    assert _report().regions == 2
+    # the report reads its regions off the label map it holds, which it
+    # keeps for good; an empty region cannot occur, as LabelMap rejects it
+    report = _report()
+    assert report.labels.count == 2 and report.labels.sizes.tolist() == [3, 1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.labels = LabelMap(np.zeros((1, 4), dtype=int))
 
 
 def test_report_from_labels():
     labels = LabelMap(np.array([[0, 0, 1], [0, 1, 1]]))
-    rep = SegmentationReport.from_labels(
+    rep = SegmentationReport(
         labels, algorithm="eta", metric="chi2", lam=float("inf"), param=0.5,
         connectivity=8, seed_order="median", millis=2.0)
-    assert rep.regions == 2 and rep.region_sizes == (3, 3)
+    assert rep.labels is labels and rep.labels.sizes.tolist() == [3, 3]
+    # only the label map is positional, so no parameter lands in another's place
+    with pytest.raises(TypeError):
+        SegmentationReport(labels, "eta", "chi2", float("inf"), 0.5, 8, "median", 2.0)
 
 
 def test_write_report_text(tmp_path):
@@ -362,9 +373,9 @@ def test_write_report_text(tmp_path):
     assert "region_sizes: 3 1\n" in text
     assert text.endswith("millis: 1.500\n")
     # labels past a 16-bit graymap go to a single-band HSC1 file, which the report notes
-    write_report(_report(region_sizes=(1,) * 65536), path)
+    write_report(_report(np.arange(65536).reshape(256, 256)), path)
     assert path.read_text().endswith("millis: 1.500\n")
-    write_report(_report(region_sizes=(1,) * 65537), path)
+    write_report(_report(np.arange(65537).reshape(1, -1)), path)
     assert path.read_text().endswith("millis: 1.500\nlabels_format: hsc1\n")
 
 
@@ -374,7 +385,7 @@ def test_report_text_of_a_map_with_many_regions(tmp_path):
     sizes = rng.integers(1, 5, size=60_000)
     sizes[-1] += -sizes.sum() % 400
     labels = LabelMap(np.repeat(np.arange(60_000), sizes).reshape(-1, 400))
-    report = SegmentationReport.from_labels(
+    report = SegmentationReport(
         labels, algorithm="eta", metric="euclidean", lam=0.5, param=2.0,
         connectivity=8, seed_order="median", millis=12.3456)
     path = tmp_path / "report.txt"
@@ -389,7 +400,7 @@ def test_report_text_of_a_map_with_many_regions(tmp_path):
 def test_sweep_csv_idempotent_header(tmp_path):
     path = tmp_path / "sweep.csv"
     append_sweep_row(_report(), path)
-    append_sweep_row(_report(region_sizes=(4,)), path)
+    append_sweep_row(_report(((0, 0), (0, 0))), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "algorithm,metric,lambda,param,connectivity,seed_order,regions,millis"
     assert len(lines) == 3
