@@ -7,9 +7,8 @@ bounded path-summed distance. Euclidean and chi-squared spectral metrics
 plug into every pass.
 """
 
-from .errors import (BadHeaderError, BadMagicError, CubeFormatError,
-                     DegenerateMarginalError, HssegError, RegionSizeCapError,
-                     TruncatedFileError)
+from .errors import (CubeFormatError, DegenerateMarginalError, HssegError,
+                     RegionSizeCapError)
 from .eta_regions import eta_bounded_regions
 from .flatzones import lambda_flat_zones
 from .grid import Connectivity, LabelMap, SpectralCube, relabel_dense
@@ -25,13 +24,11 @@ from .synth import tooth_saw_cube
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadHeaderError", "BadMagicError", "Connectivity", "CubeFormatError",
-    "DegenerateMarginalError", "EdgeWeights", "HssegError", "LabelMap",
-    "MetricKind", "Pipeline", "RegionSizeCapError", "SeedOrder",
-    "SegmentationReport", "SpectralCube", "TruncatedFileError",
-    "append_sweep_row", "build_edge_weights", "build_metric",
-    "eta_bounded_regions", "lambda_flat_zones", "load_cube",
-    "mu_geodesic_balls", "order_classes", "prepare", "read_cube",
-    "read_graymap_stack", "read_labels", "relabel_dense", "tooth_saw_cube",
-    "write_cube", "write_labels", "write_report",
+    "Connectivity", "CubeFormatError", "DegenerateMarginalError", "EdgeWeights",
+    "HssegError", "LabelMap", "MetricKind", "Pipeline", "RegionSizeCapError",
+    "SeedOrder", "SegmentationReport", "SpectralCube", "append_sweep_row",
+    "build_edge_weights", "build_metric", "eta_bounded_regions",
+    "lambda_flat_zones", "load_cube", "mu_geodesic_balls", "order_classes",
+    "prepare", "read_cube", "read_graymap_stack", "read_labels", "relabel_dense",
+    "tooth_saw_cube", "write_cube", "write_labels", "write_report",
 ]

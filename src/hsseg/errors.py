@@ -16,14 +16,3 @@ class RegionSizeCapError(HssegError):
 class CubeFormatError(HssegError):
     """A cube or label file cannot be parsed."""
 
-
-class BadMagicError(CubeFormatError):
-    """File does not start with a known magic string."""
-
-
-class TruncatedFileError(CubeFormatError):
-    """File ends before the payload announced by its header."""
-
-
-class BadHeaderError(CubeFormatError):
-    """Header fields are invalid: zero dimensions or an unknown sample type."""

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadHeaderError, BadMagicError, CubeFormatError, TruncatedFileError
+from .errors import CubeFormatError
 from .grid import LabelMap, SpectralCube
 
 HSC1_MAGIC = b"HSC1"
@@ -41,24 +41,24 @@ def _hsc1_samples(path) -> np.ndarray:
     """The (height, width, bands) samples of an HSC1 file in its sample type, all finite."""
     buf = Path(path).read_bytes()
     if len(buf) < _HEADER.size:
-        raise TruncatedFileError(
+        raise CubeFormatError(
             f"{path}: header needs {_HEADER.size} bytes, file ends at byte {len(buf)}"
         )
     magic, width, height, bands, code = _HEADER.unpack_from(buf)
     if magic != HSC1_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r} at byte 0, expected {HSC1_MAGIC!r}")
+        raise CubeFormatError(f"{path}: bad magic {magic!r} at byte 0, expected {HSC1_MAGIC!r}")
     if width == 0 or height == 0 or bands == 0:
-        raise BadHeaderError(
+        raise CubeFormatError(
             f"{path}: zero dimension in header at byte 4: "
             f"width={width} height={height} bands={bands}"
         )
     if code not in _DTYPE_CODES:
-        raise BadHeaderError(f"{path}: unknown sample type {code} at byte 16")
+        raise CubeFormatError(f"{path}: unknown sample type {code} at byte 16")
     dt = _DTYPE_CODES[code]
     expected = width * height * bands * dt.itemsize
     actual = len(buf) - _HEADER.size
     if actual < expected:
-        raise TruncatedFileError(
+        raise CubeFormatError(
             f"{path}: payload expects {expected} bytes at offset {_HEADER.size}, found {actual}"
         )
     if actual > expected:
@@ -99,11 +99,11 @@ def _header_tokens(buf: bytes, path):
             continue
         # after the magic, decimal digits only: int() would take a sign
         if not (first or token[0].isdigit()):
-            raise BadHeaderError(
+            raise CubeFormatError(
                 f"{path}: non-numeric header token {token[0]!r} at byte {token.start()}")
         yield token
         first = False
-    raise TruncatedFileError(f"{path}: expected a header token at byte {len(buf)}")
+    raise CubeFormatError(f"{path}: expected a header token at byte {len(buf)}")
 
 
 def _read_graymap(path) -> np.ndarray:
@@ -113,31 +113,31 @@ def _read_graymap(path) -> np.ndarray:
     token = next(header)
     magic = token[0]
     if magic not in _GRAYMAP_MAGICS:
-        raise BadMagicError(
+        raise CubeFormatError(
             f"{path}: bad magic {magic[:4]!r} at byte {token.start()}, expected P5 or P2")
     tokens = [next(header) for _ in range(3)]
     width, height, maxval = (int(tok[0]) for tok in tokens)
     if width == 0 or height == 0:
-        raise BadHeaderError(
+        raise CubeFormatError(
             f"{path}: zero dimension in header at byte {tokens[0].start()}: {width}x{height}"
         )
     if not 0 < maxval < 65536:
-        raise BadHeaderError(
+        raise CubeFormatError(
             f"{path}: maxval {maxval} at byte {tokens[2].start()} out of range 1..65535")
     pos = tokens[2].end()
     if buf[pos:pos + 1] == b"#":
         # one whitespace byte must separate a P5 maxval from the raster
         if magic == b"P5":
             start = tokens[2].start()
-            raise BadHeaderError(f"{path}: non-numeric header token "
-                                 f"{_TOKEN.match(buf, start)[0]!r} at byte {start}")
+            raise CubeFormatError(f"{path}: non-numeric header token "
+                                  f"{_TOKEN.match(buf, start)[0]!r} at byte {start}")
         pos = min(_HEADER_TOKEN.match(buf, pos).end() + 1, len(buf))
     if magic == b"P5":
         pos = min(pos + 1, len(buf))
         dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         expected = width * height * dt.itemsize
         if len(buf) - pos < expected:
-            raise TruncatedFileError(
+            raise CubeFormatError(
                 f"{path}: raster expects {expected} bytes at offset {pos}, "
                 f"found {len(buf) - pos}"
             )
@@ -148,7 +148,7 @@ def _read_graymap(path) -> np.ndarray:
     else:
         text = list(_TOKEN.finditer(buf, pos))
         if len(text) < width * height:
-            raise TruncatedFileError(
+            raise CubeFormatError(
                 f"{path}: raster expects {width * height} samples after byte {pos}, "
                 f"found {len(text)}"
             )
@@ -163,7 +163,7 @@ def _read_graymap(path) -> np.ndarray:
     if samples.max(initial=0) > maxval:
         k = int(np.argmax(samples > maxval))
         offset = pos + k * samples.itemsize if magic == b"P5" else text[k].start()
-        raise BadHeaderError(
+        raise CubeFormatError(
             f"{path}: sample {samples[k]} at byte {offset} exceeds declared maxval {maxval}"
         )
     return samples.reshape(height, width)

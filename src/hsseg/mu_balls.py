@@ -21,35 +21,6 @@ from .growth import _distinct, refine_classes
 from .metrics import EdgeWeights
 
 
-def _dijkstra_ball(edge_weights: EdgeWeights, owner: np.ndarray,
-                   seed: int, radius: float) -> dict[int, float]:
-    """Flat-index pixels within geodesic radius of the seed, with distances.
-
-    The search enters only pixels whose owner is the seed's, the free pixels
-    of its class. Lazy-deletion heap; stale entries are skipped when popped.
-    Heap entries are (distance, raster index), so equal-priority pops break
-    on raster order and zero-weight plateaus resolve deterministically. Pops
-    never decrease, so no later sum is below a settled pixel's `best`, and an
-    off-grid entry (-1) weighs +inf, never below `best`'s default: neither is pushed.
-    """
-    neighbors, weights = edge_weights.neighbors, edge_weights.weights
-    cls = owner[seed]
-    settled: dict[int, float] = {}
-    best = {seed: 0.0}
-    heap = [(0.0, seed)]
-    while heap:
-        d, i = heappop(heap)
-        if i in settled:
-            continue
-        settled[i] = d
-        for j, weight in zip(neighbors[i].tolist(), weights[i].tolist()):
-            nd = d + weight
-            if nd <= radius and nd < best.get(j, math.inf) and owner[j] == cls:
-                best[j] = nd
-                heappush(heap, (nd, j))
-    return settled
-
-
 def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: np.ndarray,
                       mu: float) -> LabelMap:
     """Refine a flat-zone partition into geodesic balls of radius mu.
@@ -58,10 +29,11 @@ def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: np.nd
     always reachable at distance 0, so every class is fully covered.
     `edge_weights` is the neighbour table of the run, and `ordering`, from
     `order_classes` on `flat`, gives the seeds. `step` grows one ball in
-    every small class at once and `region` one `_dijkstra_ball` in a larger
-    class (see `growth`). Float addition is monotone and weights are >= 0, so
-    the least fixed point of step's min-plus relaxation holds the least
-    left-fold path sums: the pixels a Dijkstra search settles within mu.
+    every small class at once and `region` one ball in a larger class by a
+    Dijkstra search (see `growth`). Float addition is monotone and weights
+    are >= 0, so the least fixed point of step's min-plus relaxation holds
+    the least left-fold path sums: the pixels a Dijkstra search settles
+    within mu.
     """
     neighbors, weights = edge_weights.neighbors, edge_weights.weights
     # a pixel not reached sits just above mu, so one comparison bounds a path
@@ -90,7 +62,23 @@ def mu_geodesic_balls(edge_weights: EdgeWeights, flat: LabelMap, ordering: np.nd
         return members
 
     def region(seed: int, owner: np.ndarray) -> list[int]:
-        members = list(_dijkstra_ball(edge_weights, owner, seed, mu))
+        # Dijkstra on a lazy-deletion heap of (distance, raster index): equal
+        # pops break on raster order, so zero-weight plateaus resolve
+        # deterministically, and pops never decrease, so an entry above its
+        # pixel's `best` is stale. The pixels `best` holds are the ball.
+        cls = owner[seed]
+        best = {seed: 0.0}
+        heap = [(0.0, seed)]
+        while heap:
+            d, i = heappop(heap)
+            if d > best[i]:
+                continue
+            for j, weight in zip(neighbors[i].tolist(), weights[i].tolist()):
+                nd = d + weight
+                if nd < best.get(j, above) and owner[j] == cls:
+                    best[j] = nd
+                    heappush(heap, (nd, j))
+        members = list(best)
         owner[members] = -1
         return members
 

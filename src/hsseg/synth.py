@@ -15,14 +15,15 @@ import numpy as np
 from .grid import SpectralCube
 
 
-def tooth_saw_profile(*, width: int = 21, step: float = 10.0, teeth: int = 3) -> np.ndarray:
-    """Band-0 column profile of the saw: `teeth` monotone ramps of width/teeth columns.
+def tooth_saw_cube(*, width: int = 21, height: int = 21, bands: int = 4, step: float = 10.0,
+                   teeth: int = 3, constant_value: float = 100.0) -> SpectralCube:
+    """Build the saw cube: band 0 is the saw profile along x, bands 1.. hold constant_value.
 
-    It starts at 0 and moves by +-step per column, flipping direction after
-    every ramp.
+    The profile is `teeth` monotone ramps of width/teeth columns. It starts
+    at 0 and moves by +-step per column, flipping direction after every ramp.
     """
-    if width < 1:
-        raise ValueError("width must be positive")
+    if width < 1 or height < 1 or bands < 1:
+        raise ValueError("width, height and bands must be positive")
     if teeth < 1:
         raise ValueError("teeth must be positive")
     if width % teeth != 0:
@@ -30,20 +31,10 @@ def tooth_saw_profile(*, width: int = 21, step: float = 10.0, teeth: int = 3) ->
     if not (step >= 0):
         raise ValueError(f"step must be >= 0, got {step}")
     ramp = width // teeth
-    values = np.empty(width)
-    values[0] = 0.0
+    profile = np.zeros(width)
     for x in range(1, width):
         direction = 1.0 if ((x - 1) // ramp) % 2 == 0 else -1.0
-        values[x] = values[x - 1] + direction * step
-    return values
-
-
-def tooth_saw_cube(*, width: int = 21, height: int = 21, bands: int = 4, step: float = 10.0,
-                   teeth: int = 3, constant_value: float = 100.0) -> SpectralCube:
-    """Build the saw cube: band 0 is the saw profile along x, bands 1.. hold constant_value."""
-    if width < 1 or height < 1 or bands < 1:
-        raise ValueError("width, height and bands must be positive")
-    profile = tooth_saw_profile(width=width, step=step, teeth=teeth)
+        profile[x] = profile[x - 1] + direction * step
     data = np.full((height, width, bands), constant_value)
-    data[:, :, 0] = profile[None, :]
+    data[:, :, 0] = profile
     return SpectralCube(data)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hsseg import (Connectivity, LabelMap, MetricKind, SeedOrder, SpectralCube,
-                   build_metric, order_classes, prepare)
+                   build_metric, mu_balls, order_classes, prepare)
 from hsseg.metrics import _norms
 from hsseg.seeds import class_orderings
 
@@ -74,6 +74,16 @@ def library_distance(metric, p, q):
     """The library's distance between pixels p and q, given as (x, y)."""
     w = metric.width
     return float(distance_row(metric, p[1] * w + p[0], np.array([q[1] * w + q[0]]))[0])
+
+
+def mu_traversals(edge_weights, mu):
+    """The mu pass's (step, region) at radius mu, as it hands them to refine_classes."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mu_balls, "refine_classes",
+                   lambda flat, ordering, step, region: got.append((step, region)))
+        mu_balls.mu_geodesic_balls(edge_weights, None, None, mu)
+    return got[0]
 
 
 def flat_zones(cube, lam, conn=Connectivity.FOUR, kind=MetricKind.EUCLIDEAN):

@@ -226,6 +226,12 @@ def test_error_exit_codes(tmp_path, capsys):
                            + np.array([0.0, -np.inf]).tobytes())
     assert run_cli("stats", label_cube) == 3
     assert f"error: {label_cube}: non-finite sample -inf at byte 25" in capsys.readouterr().err
+    # a label cube holds one band
+    label_cube.write_bytes(b"HSC1" + np.array([2, 1, 2], "<u4").tobytes() + b"\x02"
+                           + np.zeros(4).tobytes())
+    assert run_cli("stats", label_cube) == 3
+    assert (f"error: {label_cube}: label cube must have one band, found 2"
+            in capsys.readouterr().err)
     # a label beyond the int64 range is a format error, not a silent merge
     label_cube.write_bytes(b"HSC1" + np.array([3, 1, 1], "<u4").tobytes() + b"\x02"
                            + np.array([1e19, 2e19, 3.0]).tobytes())
@@ -363,6 +369,20 @@ def test_cli_runs_do_not_import_numpy_ma(tmp_path):
                     if line.startswith("import time:")}
         assert {"numpy", "hsseg.cli", "hsseg.growth"} <= imported
         assert [m for m in imported if m.split(".")[:2] == ["numpy", "ma"]] == []
+
+
+def test_public_api_is_pinned():
+    # a name added to or dropped from the package's surface shows up here
+    assert sorted(hsseg.__all__) == [
+        "Connectivity", "CubeFormatError", "DegenerateMarginalError", "EdgeWeights",
+        "HssegError", "LabelMap", "MetricKind", "Pipeline", "RegionSizeCapError",
+        "SeedOrder", "SegmentationReport", "SpectralCube", "append_sweep_row",
+        "build_edge_weights", "build_metric", "eta_bounded_regions",
+        "lambda_flat_zones", "load_cube", "mu_geodesic_balls", "order_classes",
+        "prepare", "read_cube", "read_graymap_stack", "read_labels", "relabel_dense",
+        "tooth_saw_cube", "write_cube", "write_labels", "write_report"]
+    for name in hsseg.__all__:
+        assert getattr(hsseg, name).__module__.startswith("hsseg.")
 
 
 def test_readme_library_sketch_runs():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,19 @@ def test_labelmap_requires_dense_labels():
         LabelMap(np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError):
         LabelMap(np.array([[0, 1]]), count=3)
+
+
+def test_labels_must_be_a_non_empty_grid():
+    for labels in (np.zeros(3, int), np.zeros((1, 2, 1), int)):
+        with pytest.raises(ValueError, match=r"labels must be 2-d \(height, width\), got shape "
+                                             + re.escape(str(labels.shape))):
+            LabelMap(labels)
+    for shape in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match=r"label dimensions must be positive, got shape "
+                                             + re.escape(str(shape))):
+            LabelMap(np.zeros(shape, int))
+    with pytest.raises(ValueError, match=r"provisional labels must be 2-d, got shape \(3,\)"):
+        relabel_dense(np.array([3, 3, 1]))
 
 
 def test_labelmap_density_check_is_bounded_by_the_map():

@@ -5,9 +5,9 @@ import pytest
 
 from hsseg import (Connectivity, EdgeWeights, LabelMap, MetricKind, Pipeline, SeedOrder,
                    SpectralCube, build_edge_weights, build_metric, prepare)
-from hsseg import eta_regions, growth, mu_balls
+from hsseg import eta_regions, growth
 
-from conftest import distance_row
+from conftest import distance_row, mu_traversals
 from oracles import eta_regions_bruteforce, mu_balls_bruteforce
 
 GATE = growth._LOCKSTEP_MAX_PIXELS
@@ -220,16 +220,7 @@ def test_lockstep_batches_keep_a_bounded_peak():
             assert peak < 3 << 20
 
 
-def _mu_traversals(edge_weights, mu, monkeypatch):
-    """The mu pass's (step, region) at radius mu, as it hands them to refine_classes."""
-    got = []
-    monkeypatch.setattr(mu_balls, "refine_classes",
-                        lambda flat, ordering, step, region: got.append((step, region)))
-    mu_balls.mu_geodesic_balls(edge_weights, None, None, mu)
-    return got[0]
-
-
-def test_grow_members_are_the_settled_set(monkeypatch):
+def test_grow_members_are_the_settled_set():
     # a chain 0 - 1 - 2 - 3 of one class with steps 1, 2, 0
     neighbors = np.array([[-1, 1], [0, 2], [1, 3], [2, -1]], dtype=np.int32)
     w = np.array([[np.inf, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, np.inf]])
@@ -237,7 +228,7 @@ def test_grow_members_are_the_settled_set(monkeypatch):
 
     def members(radius, owner=(0, 0, 0, 0), seed=0):
         # the lockstep step and the walk's region agree
-        step, region = _mu_traversals(edge_weights, radius, monkeypatch)
+        step, region = mu_traversals(edge_weights, radius)
         grown = []
         for grow in (lambda o: step(o, np.array([seed])), lambda o: region(seed, o)):
             o = np.array([*owner, -1], dtype=np.int32)

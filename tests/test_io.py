@@ -5,11 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from hsseg import (BadHeaderError, BadMagicError, CubeFormatError, LabelMap,
-                   SegmentationReport, SpectralCube, TruncatedFileError,
-                   append_sweep_row, read_cube, read_graymap_stack,
-                   read_labels, relabel_dense, write_cube, write_labels,
-                   write_report)
+from hsseg import (CubeFormatError, LabelMap, SegmentationReport, SpectralCube,
+                   append_sweep_row, read_cube, read_graymap_stack, read_labels,
+                   relabel_dense, write_cube, write_labels, write_report)
 from hsseg.io import label_file, load_cube, read_label_values
 
 
@@ -37,7 +35,7 @@ def test_cube_roundtrip_float32(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.hsc"
     path.write_bytes(b"XXXX" + bytes(13))
-    with pytest.raises(BadMagicError, match=r"bad\.hsc: bad magic b'XXXX' at byte 0"):
+    with pytest.raises(CubeFormatError, match=r"bad\.hsc: bad magic b'XXXX' at byte 0"):
         read_cube(path)
 
 
@@ -47,7 +45,7 @@ def test_truncated_payload(tmp_path):
     write_cube(cube, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 8])  # drop one band's worth
-    with pytest.raises(TruncatedFileError,
+    with pytest.raises(CubeFormatError,
                        match=r"t\.hsc: payload expects 64 bytes at offset 17, found 56"):
         read_cube(path)
 
@@ -85,14 +83,14 @@ def test_non_finite_sample_is_a_format_error(tmp_path, dtype, size):
 def test_zero_dims_and_short_header(tmp_path):
     path = tmp_path / "z.hsc"
     path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 0, 3, 1, 2))
-    with pytest.raises(BadHeaderError, match=r"z\.hsc: zero dimension in header at byte 4"):
+    with pytest.raises(CubeFormatError, match=r"z\.hsc: zero dimension in header at byte 4"):
         read_cube(path)
     path.write_bytes(b"HSC1\x01")
-    with pytest.raises(TruncatedFileError,
+    with pytest.raises(CubeFormatError,
                        match=r"z\.hsc: header needs 17 bytes, file ends at byte 5"):
         read_cube(path)
     path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 1, 1, 1, 7))
-    with pytest.raises(BadHeaderError, match=r"z\.hsc: unknown sample type 7 at byte 16"):
+    with pytest.raises(CubeFormatError, match=r"z\.hsc: unknown sample type 7 at byte 16"):
         read_cube(path)
 
 
@@ -205,7 +203,7 @@ def test_input_is_hsc1_by_its_magic_and_a_graymap_otherwise(tmp_path):
     blob = tmp_path / "blob.bin"
     blob.write_bytes(b"HSC0" + bytes(20))
     for read in (lambda p: load_cube([p]), read_label_values):
-        with pytest.raises(BadMagicError, match=r"blob\.bin: bad magic b'HSC0' at byte 0"):
+        with pytest.raises(CubeFormatError, match=r"blob\.bin: bad magic b'HSC0' at byte 0"):
             read(blob)
 
 
@@ -232,7 +230,7 @@ def test_header_comments_glued_to_tokens(tmp_path):
     assert read_graymap_stack([p]).data.ravel().tolist() == [3.0, 4.0]
     # a P5 maxval is followed by exactly one whitespace byte, so "#" is part of it
     p.write_bytes(b"P5\n2 1\n255#c\n\x03\x04")
-    with pytest.raises(BadHeaderError,
+    with pytest.raises(CubeFormatError,
                        match=r"glued\.pgm: non-numeric header token b'255#c' at byte 7"):
         read_graymap_stack([p])
 
@@ -269,52 +267,64 @@ def test_sixteen_bit_graymap(tmp_path):
 def test_graymap_errors(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P7\n1 1\n255\n\x00")
-    with pytest.raises(BadMagicError, match=r"bad\.pgm: bad magic b'P7' at byte 0"):
+    with pytest.raises(CubeFormatError, match=r"bad\.pgm: bad magic b'P7' at byte 0"):
         read_graymap_stack([bad])
     # the magic token's own offset, and at most four of its bytes
     bad.write_bytes(b"# c\n P7\n1 1\n255\n\x00")
-    with pytest.raises(BadMagicError, match=r"bad magic b'P7' at byte 5, expected P5 or P2"):
+    with pytest.raises(CubeFormatError, match=r"bad magic b'P7' at byte 5, expected P5 or P2"):
         read_graymap_stack([bad])
     bad.write_bytes(b"\x00\x01\x02\x03" * 100)
-    with pytest.raises(BadMagicError, match=r"bad magic b'\\x00\\x01\\x02\\x03' at byte 0,"):
+    with pytest.raises(CubeFormatError, match=r"bad magic b'\\x00\\x01\\x02\\x03' at byte 0,"):
         read_graymap_stack([bad])
     short = tmp_path / "short.pgm"
     short.write_bytes(b"P5\n2 2\n255\n\x00")
-    with pytest.raises(TruncatedFileError,
+    with pytest.raises(CubeFormatError,
                        match=r"short\.pgm: raster expects 4 bytes at offset 11, found 1"):
         read_graymap_stack([short])
     # a file that ends right after maxval has no separator byte either
     short.write_bytes(b"P5 1 1 255")
-    with pytest.raises(TruncatedFileError,
+    with pytest.raises(CubeFormatError,
                        match=r"short\.pgm: raster expects 1 bytes at offset 10, found 0"):
+        read_graymap_stack([short])
+    # a P2 raster with fewer samples than the header announces
+    short.write_bytes(b"P2 2 1 9 3")
+    with pytest.raises(CubeFormatError,
+                       match=r"short\.pgm: raster expects 2 samples after byte 8, found 1$"):
         read_graymap_stack([short])
     header = tmp_path / "header.pgm"
     header.write_bytes(b"P5\n2 1")
-    with pytest.raises(TruncatedFileError,
+    with pytest.raises(CubeFormatError,
                        match=r"header\.pgm: expected a header token at byte 6"):
         read_graymap_stack([header])
     # a comment that runs to the end of the file leaves the header short
     header.write_bytes(b"P5\n2 1 # maxval follows")
-    with pytest.raises(TruncatedFileError,
+    with pytest.raises(CubeFormatError,
                        match=r"header\.pgm: expected a header token at byte 23"):
         read_graymap_stack([header])
     header.write_bytes(b"# only a comment\n")
-    with pytest.raises(TruncatedFileError,
+    with pytest.raises(CubeFormatError,
                        match=r"header\.pgm: expected a header token at byte 17"):
         read_graymap_stack([header])
     # int() would take a sign; a header field is decimal digits only
     header.write_bytes(b"P5\n-2 1 255\n\x00\x01")
-    with pytest.raises(BadHeaderError,
+    with pytest.raises(CubeFormatError,
                        match=r"header\.pgm: non-numeric header token b'-2' at byte 3"):
         read_graymap_stack([header])
+    # a zero dimension names the width's offset; maxval must be 1..65535
+    for blob, message in ((b"P5 0 1 255\n", "zero dimension in header at byte 3: 0x1"),
+                          (b"P5 1 1 0\n", "maxval 0 at byte 7 out of range 1..65535"),
+                          (b"P2 1 1 65536 1", "maxval 65536 at byte 7 out of range 1..65535")):
+        header.write_bytes(blob)
+        with pytest.raises(CubeFormatError, match=rf"header\.pgm: {re.escape(message)}$"):
+            read_graymap_stack([header])
     # the first sample above maxval is named with its byte offset
     over = tmp_path / "over.pgm"
     over.write_bytes(b"P5\n3 1\n9\n\x01\x0a\x0c")
-    with pytest.raises(BadHeaderError,
+    with pytest.raises(CubeFormatError,
                        match=r"over\.pgm: sample 10 at byte 10 exceeds declared maxval 9"):
         read_graymap_stack([over])
     over.write_bytes(b"P2 3 1 9\n1  10 12\n")
-    with pytest.raises(BadHeaderError,
+    with pytest.raises(CubeFormatError,
                        match=r"over\.pgm: sample 10 at byte 12 exceeds declared maxval 9"):
         read_graymap_stack([over])
     # one image per file: any byte after a P5 raster, any token after a P2 one

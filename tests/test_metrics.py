@@ -81,6 +81,9 @@ def test_build_metric_returns_the_coordinate_cube():
     assert isinstance(chi, SpectralCube) and chi.data.shape == cube.data.shape
     assert not chi.data.flags.writeable and not chi.spectra.flags.writeable
     assert chi.spectra.base is chi.data and chi.spectra.shape == (2, 2)
+    # the kind is the enum, not its value
+    with pytest.raises(ValueError, match="unknown metric kind: 'euclidean'"):
+        build_metric(cube, "euclidean")
 
 
 def test_chi_squared_rejects_negative_values():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hsseg import tooth_saw_cube
-from hsseg.synth import tooth_saw_profile
 
 from conftest import flat_zones
 
@@ -13,7 +12,7 @@ def test_default_dimensions():
 
 
 def test_profile_steps_are_exact():
-    profile = tooth_saw_profile()
+    profile = tooth_saw_cube().data[0, :, 0]
     diffs = np.diff(profile)
     assert (np.abs(diffs) == 10.0).all()
     # saw shape: direction flips after every ramp of 7 columns
@@ -53,7 +52,9 @@ def test_custom_spec():
     assert (cube.width, cube.height, cube.bands) == (12, 3, 2)
     assert (np.abs(np.diff(cube.data[0, :, 0])) == 2.5).all()
     assert (cube.data[:, :, 1] == 1.0).all()
-    assert np.array_equal(cube.data[0, :, 0], tooth_saw_profile(width=12, step=2.5, teeth=4))
+    # ramps of 3 columns: up, down, up, down
+    assert cube.data[0, :, 0].tolist() == [0.0, 2.5, 5.0, 7.5, 5.0, 2.5,
+                                           0.0, 2.5, 5.0, 7.5, 5.0, 2.5]
 
 
 def test_invalid_specs_rejected():
@@ -62,6 +63,3 @@ def test_invalid_specs_rejected():
                    {"step": -1.0}, {"step": float("nan")}):
         with pytest.raises(ValueError):
             tooth_saw_cube(**kwargs)
-    for kwargs in ({"width": 21, "teeth": 4}, {"width": 0}, {"teeth": 0}, {"step": -1.0}):
-        with pytest.raises(ValueError):
-            tooth_saw_profile(**kwargs)
