@@ -38,14 +38,18 @@ EXIT_CODES = (
 
 MAX_GRID_VALUES = 10_000
 
-_METRICS = {"euclidean": MetricKind.EUCLIDEAN, "chi2": MetricKind.CHI_SQUARED}
-_ORDERS = {"median": SeedOrder.MEDIAN_FIRST, "antimedian": SeedOrder.ANTIMEDIAN_FIRST}
 
+def _pipeline(args: argparse.Namespace, algo: str, value: float | None) -> Pipeline:
+    """Check lambda and the pass's value, then load the cube and build the pipeline.
 
-def _pipeline(args: argparse.Namespace) -> Pipeline:
-    """Load the cube and build the run's pipeline; flat runs have no seed order."""
-    return prepare(load_cube(args.inputs), _METRICS[args.metric], args.lam,
-                   Connectivity(args.connectivity), _ORDERS.get(args.seed_order))
+    A flat run has no value and no seed order.
+    """
+    _check_nonneg("lambda", args.lam)
+    if value is not None:
+        _check_nonneg(algo, value)
+    order = SeedOrder(args.seed_order) if args.seed_order else None
+    return prepare(load_cube(args.inputs), MetricKind(args.metric), args.lam,
+                   Connectivity(args.connectivity), order)
 
 
 def _report(args: argparse.Namespace, algorithm: str, param: float | None,
@@ -64,12 +68,9 @@ def _cmd_segment(args: argparse.Namespace) -> None:
     build, edge weights, flat zones, seed ordering and the pass.
     """
     started = time.perf_counter()
-    pipeline = _pipeline(args)
-    if args.command == "flat":
-        labels, param = pipeline.flat, None
-    else:
-        param = getattr(args, args.command)
-        labels = pipeline.refine(args.command, param)
+    param = getattr(args, args.command, None)  # a flat run has no --flat value
+    pipeline = _pipeline(args, args.command, param)
+    labels = pipeline.flat if param is None else pipeline.refine(args.command, param)
     # the metric, neighbour table and ordering are not needed for writing, and
     # kept alive they would add their size to the run's peak memory
     del pipeline
@@ -103,9 +104,10 @@ def parse_grid(text: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _cmd_sweep(args: argparse.Namespace, values: list[float]) -> None:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     """One row per grid value; each row's millis is that value's pass alone."""
-    pipeline = _pipeline(args)
+    values = parse_grid(args.param_grid)
+    pipeline = _pipeline(args, args.algo, values[0])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for value in values:
@@ -132,21 +134,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; a failure exits with its EXIT_CODES code."""
     try:
-        grid = parse_grid(args.param_grid) if args.command == "sweep" else None
-        for name, value in (("lambda", getattr(args, "lam", None)),
-                            ("eta", getattr(args, "eta", None)),
-                            ("mu", getattr(args, "mu", None)),
-                            (getattr(args, "algo", None), grid[0] if grid else None)):
-            if value is not None:
-                _check_nonneg(name, value)
-        if args.command == "synth":
-            _cmd_synth(args)
-        elif args.command in ("flat", "eta", "mu"):
-            _cmd_segment(args)
-        elif args.command == "sweep":
-            _cmd_sweep(args, grid)
-        elif args.command == "stats":
-            _cmd_stats(args)
+        args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code, _ in EXIT_CODES if isinstance(exc, types))
@@ -157,14 +145,16 @@ def _add_common(parser, *, seeds: bool) -> None:
     parser.add_argument("--input", dest="inputs", nargs="+", required=True,
                         metavar="FILE",
                         help="HSC1 cube, or one or more P5/P2 graymaps (one band each)")
-    parser.add_argument("--metric", choices=sorted(_METRICS), default="euclidean")
+    parser.add_argument("--metric", choices=sorted(kind.value for kind in MetricKind),
+                        default="euclidean")
     parser.add_argument("--connectivity", type=int, choices=(4, 8), default=4)
     parser.add_argument("--outdir", default=".")
     parser.add_argument("--lambda", dest="lam", type=float, required=True,
                         help="flat-zone threshold; 'inf' treats the image as one class")
     if seeds:
         parser.add_argument("--seed-order", dest="seed_order",
-                            choices=sorted(_ORDERS), default="median")
+                            choices=sorted(order.value for order in SeedOrder),
+                            default="median")
     else:
         parser.set_defaults(seed_order=None)
 
@@ -180,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic cube")
+    p_synth.set_defaults(func=_cmd_synth)
     p_synth.add_argument("generator", choices=("tooth-saw",))
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--width", type=int, default=21)
@@ -190,17 +181,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--constant", type=float, default=100.0)
 
     p_flat = sub.add_parser("flat", help="lambda-flat zones")
+    p_flat.set_defaults(func=_cmd_segment)
     _add_common(p_flat, seeds=False)
 
     p_eta = sub.add_parser("eta", help="eta-bounded regions inside flat zones")
+    p_eta.set_defaults(func=_cmd_segment)
     _add_common(p_eta, seeds=True)
     p_eta.add_argument("--eta", type=float, required=True)
 
     p_mu = sub.add_parser("mu", help="mu-geodesic balls inside flat zones")
+    p_mu.set_defaults(func=_cmd_segment)
     _add_common(p_mu, seeds=True)
     p_mu.add_argument("--mu", type=float, required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid, appending CSV rows")
+    p_sweep.set_defaults(func=_cmd_sweep)
     _add_common(p_sweep, seeds=True)
     p_sweep.add_argument("--algo", choices=("eta", "mu"), required=True)
     p_sweep.add_argument("--param", dest="param_grid", required=True,
@@ -209,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                               f"at most {MAX_GRID_VALUES} values")
 
     p_stats = sub.add_parser("stats", help="recompute region counts from a label file")
+    p_stats.set_defaults(func=_cmd_stats)
     p_stats.add_argument("labels_path", metavar="LABELS")
 
     return parser

@@ -37,6 +37,20 @@ def write_cube(cube: SpectralCube, path) -> None:
         fh.write(cube.data.astype(_DTYPE_CODES[2], copy=False).tobytes())
 
 
+def _samples(buf: bytes, path, offset: int, dtype: np.dtype, count: int,
+             part: str) -> np.ndarray:
+    """The count samples of part, "payload" or "raster", which must fill buf from offset."""
+    expected = count * dtype.itemsize
+    actual = len(buf) - offset
+    if actual < expected:
+        raise CubeFormatError(
+            f"{path}: {part} expects {expected} bytes at offset {offset}, found {actual}")
+    if actual > expected:
+        raise CubeFormatError(f"{path}: {actual - expected} trailing bytes after {part} "
+                              f"at offset {offset + expected}")
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
+
+
 def _hsc1_samples(path) -> np.ndarray:
     """The (height, width, bands) samples of an HSC1 file in its sample type, all finite."""
     buf = Path(path).read_bytes()
@@ -47,26 +61,15 @@ def _hsc1_samples(path) -> np.ndarray:
     magic, width, height, bands, code = _HEADER.unpack_from(buf)
     if magic != HSC1_MAGIC:
         raise CubeFormatError(f"{path}: bad magic {magic!r} at byte 0, expected {HSC1_MAGIC!r}")
-    if width == 0 or height == 0 or bands == 0:
-        raise CubeFormatError(
-            f"{path}: zero dimension in header at byte 4: "
-            f"width={width} height={height} bands={bands}"
-        )
+    dims = (width, height, bands)
+    if 0 in dims:
+        # the first zero field: width, height and bands are at bytes 4, 8 and 12
+        raise CubeFormatError(f"{path}: zero dimension in header at byte {4 + 4 * dims.index(0)}: "
+                              f"width={width} height={height} bands={bands}")
     if code not in _DTYPE_CODES:
         raise CubeFormatError(f"{path}: unknown sample type {code} at byte 16")
     dt = _DTYPE_CODES[code]
-    expected = width * height * bands * dt.itemsize
-    actual = len(buf) - _HEADER.size
-    if actual < expected:
-        raise CubeFormatError(
-            f"{path}: payload expects {expected} bytes at offset {_HEADER.size}, found {actual}"
-        )
-    if actual > expected:
-        raise CubeFormatError(
-            f"{path}: {actual - expected} trailing bytes after payload "
-            f"at offset {_HEADER.size + expected}"
-        )
-    data = np.frombuffer(buf, dtype=dt, count=width * height * bands, offset=_HEADER.size)
+    data = _samples(buf, path, _HEADER.size, dt, width * height * bands, "payload")
     finite = np.isfinite(data)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -117,10 +120,10 @@ def _read_graymap(path) -> np.ndarray:
             f"{path}: bad magic {magic[:4]!r} at byte {token.start()}, expected P5 or P2")
     tokens = [next(header) for _ in range(3)]
     width, height, maxval = (int(tok[0]) for tok in tokens)
-    if width == 0 or height == 0:
+    if 0 in (width, height):
+        zero = tokens[(width, height).index(0)]
         raise CubeFormatError(
-            f"{path}: zero dimension in header at byte {tokens[0].start()}: {width}x{height}"
-        )
+            f"{path}: zero dimension in header at byte {zero.start()}: {width}x{height}")
     if not 0 < maxval < 65536:
         raise CubeFormatError(
             f"{path}: maxval {maxval} at byte {tokens[2].start()} out of range 1..65535")
@@ -135,16 +138,7 @@ def _read_graymap(path) -> np.ndarray:
     if magic == b"P5":
         pos = min(pos + 1, len(buf))
         dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        expected = width * height * dt.itemsize
-        if len(buf) - pos < expected:
-            raise CubeFormatError(
-                f"{path}: raster expects {expected} bytes at offset {pos}, "
-                f"found {len(buf) - pos}"
-            )
-        if len(buf) - pos > expected:
-            raise CubeFormatError(f"{path}: {len(buf) - pos - expected} trailing bytes "
-                                  f"after raster at offset {pos + expected}")
-        samples = np.frombuffer(buf, dtype=dt, count=width * height, offset=pos)
+        samples = _samples(buf, path, pos, dt, width * height, "raster")
     else:
         text = list(_TOKEN.finditer(buf, pos))
         if len(text) < width * height:
@@ -236,11 +230,14 @@ def read_label_values(path) -> np.ndarray:
         return _read_graymap(path).astype(np.int64)
     samples = _hsc1_samples(path)
     if samples.shape[2] != 1:
-        raise CubeFormatError(f"{path}: label cube must have one band, found {samples.shape[2]}")
+        raise CubeFormatError(
+            f"{path}: label cube must have one band, found {samples.shape[2]} at byte 12")
     values = samples[:, :, 0]
     rounded = np.rint(values)
     if not np.array_equal(rounded, values):
-        raise CubeFormatError(f"{path}: label cube holds non-integer values")
+        k = int(np.argmax(rounded != values))
+        raise CubeFormatError(f"{path}: label cube holds non-integer value {values.flat[k]!s} "
+                              f"at byte {_HEADER.size + k * values.itemsize}")
     outside = (rounded < -2.0 ** 63) | (rounded >= 2.0 ** 63)
     if outside.any():
         k = int(np.argmax(outside))

@@ -22,8 +22,10 @@ from .grid import Connectivity, SpectralCube
 
 
 class MetricKind(Enum):
+    """A spectral metric; its value is the CLI's --metric name."""
+
     EUCLIDEAN = "euclidean"
-    CHI_SQUARED = "chi_squared"
+    CHI_SQUARED = "chi2"
 
 
 # Bytes of one block of float64 differences handed to _norms: of the edge

@@ -32,6 +32,8 @@ MAX_REGION_SIZE = 50_000
 
 
 class SeedOrder(Enum):
+    """A seed order; its value is the CLI's --seed-order name."""
+
     MEDIAN_FIRST = "median"
     ANTIMEDIAN_FIRST = "antimedian"
 

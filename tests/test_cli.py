@@ -230,8 +230,9 @@ def test_error_exit_codes(tmp_path, capsys):
     label_cube.write_bytes(b"HSC1" + np.array([2, 1, 2], "<u4").tobytes() + b"\x02"
                            + np.zeros(4).tobytes())
     assert run_cli("stats", label_cube) == 3
-    assert (f"error: {label_cube}: label cube must have one band, found 2"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert f"error: {label_cube}: label cube must have one band, found 2" in err
+    assert err == f"error: {label_cube}: label cube must have one band, found 2 at byte 12\n"
     # a label beyond the int64 range is a format error, not a silent merge
     label_cube.write_bytes(b"HSC1" + np.array([3, 1, 1], "<u4").tobytes() + b"\x02"
                            + np.array([1e19, 2e19, 3.0]).tobytes())
@@ -275,6 +276,20 @@ def test_error_exit_codes(tmp_path, capsys):
                    "--outdir", tmp_path) == 4
     assert ("error: the scale of band 0 overflows float64: total inf"
             in capsys.readouterr().err)
+
+
+def test_bounds_are_checked_before_the_read(tmp_path, capsys):
+    # a negative bound is a usage error even when the input does not exist:
+    # no file error, and no out dir
+    missing = tmp_path / "missing.hsc"
+    for name, command in (("lambda", ("flat", "--lambda", -1)),
+                          ("eta", ("eta", "--lambda", 1, "--eta", -1)),
+                          ("mu", ("mu", "--lambda", 1, "--mu", -1)),
+                          ("eta", ("sweep", "--algo", "eta", "--lambda", 1, "--param=-1:1:1"))):
+        out = tmp_path / command[0]
+        assert run_cli(*command, "--input", missing, "--outdir", out) == 2
+        assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1.0\n"
+        assert not out.exists()
 
 
 def test_unexpected_failure_exits_1(saw_file, tmp_path, capsys, monkeypatch):

@@ -85,6 +85,14 @@ def test_zero_dims_and_short_header(tmp_path):
     path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 0, 3, 1, 2))
     with pytest.raises(CubeFormatError, match=r"z\.hsc: zero dimension in header at byte 4"):
         read_cube(path)
+    # the first zero field is named: height at byte 8, bands at byte 12
+    for dims, byte in (((3, 0, 1), 8), ((2, 2, 0), 12), ((2, 0, 0), 8)):
+        path.write_bytes(struct.pack("<4sIIIB", b"HSC1", *dims, 2))
+        w, h, b = dims
+        with pytest.raises(CubeFormatError,
+                           match=rf"z\.hsc: zero dimension in header at byte {byte}: "
+                                 rf"width={w} height={h} bands={b}$"):
+            read_cube(path)
     path.write_bytes(b"HSC1\x01")
     with pytest.raises(CubeFormatError,
                        match=r"z\.hsc: header needs 17 bytes, file ends at byte 5"):
@@ -132,6 +140,14 @@ def test_read_label_values_rejects_fractional_cube(tmp_path):
     write_cube(cube, path)
     with pytest.raises(CubeFormatError, match="non-integer"):
         read_label_values(path)
+    # the message names the first non-integer label and its byte, 17 + index * size
+    for dtype, size in (("<f8", 8), ("<f4", 4)):
+        data = np.array([3.0, -2.0, 7.25, 0.5], dtype=dtype)
+        path.write_bytes(struct.pack("<4sIIIB", b"HSC1", 2, 2, 1, size // 4) + data.tobytes())
+        with pytest.raises(CubeFormatError,
+                           match=rf"frac\.hsc: label cube holds non-integer value 7\.25 "
+                                 rf"at byte {17 + 2 * size}$"):
+            read_label_values(path)
 
 
 @pytest.mark.parametrize("dtype, size", [("<f8", 8), ("<f4", 4)])
@@ -310,8 +326,11 @@ def test_graymap_errors(tmp_path):
     with pytest.raises(CubeFormatError,
                        match=r"header\.pgm: non-numeric header token b'-2' at byte 3"):
         read_graymap_stack([header])
-    # a zero dimension names the width's offset; maxval must be 1..65535
+    # a zero dimension names the first zero field's offset; maxval must be 1..65535
     for blob, message in ((b"P5 0 1 255\n", "zero dimension in header at byte 3: 0x1"),
+                          (b"P5\n3 0\n255\n", "zero dimension in header at byte 5: 3x0"),
+                          (b"P2 # c\n12 0 9", "zero dimension in header at byte 10: 12x0"),
+                          (b"P5 0 0 255\n", "zero dimension in header at byte 3: 0x0"),
                           (b"P5 1 1 0\n", "maxval 0 at byte 7 out of range 1..65535"),
                           (b"P2 1 1 65536 1", "maxval 65536 at byte 7 out of range 1..65535")):
         header.write_bytes(blob)
@@ -422,3 +441,39 @@ def test_infinite_lambda_formatting(tmp_path):
     path = tmp_path / "sweep.csv"
     append_sweep_row(_report(lam=float("inf")), path)
     assert ",inf," in path.read_text().splitlines()[1]
+
+
+def _reader_corpus():
+    """(name, bytes) of every prefix of five small valid inputs, and of each
+    single-byte corruption of their first 24 bytes."""
+    valid = {
+        "cube.hsc": struct.pack("<4sIIIB", b"HSC1", 2, 2, 2, 2)
+                    + (np.arange(8, dtype="<f8") / 3).tobytes(),
+        "eight.pgm": b"P5\n3 2\n255\n" + bytes([0, 9, 80, 255, 1, 2]),
+        "sixteen.pgm": b"P5\n2 2\n65535\n" + bytes([1, 0, 255, 255, 0, 0, 0, 7]),
+        "text.pgm": b"P2\n# c\n3 2\n9\n1 2 3\n4 5 9\n",
+        "labels.hsc": struct.pack("<4sIIIB", b"HSC1", 2, 2, 1, 2)
+                      + np.array([0.0, 1.0, 2.0, 1.0], dtype="<f8").tobytes(),
+    }
+    for name, blob in valid.items():
+        for end in range(len(blob) + 1):
+            yield name, blob[:end]
+        for pos in range(min(24, len(blob))):
+            for byte in (0x00, 0x20, 0x23, 0x30, 0x39, 0x0A, 0xFF):
+                yield name, blob[:pos] + bytes([byte]) + blob[pos + 1:]
+
+
+def test_every_malformed_input_names_its_file_and_a_byte(tmp_path):
+    # each input either reads or is a format error whose message starts with
+    # the path and names only bytes and offsets inside the file
+    for name, blob in _reader_corpus():
+        path = tmp_path / name
+        path.write_bytes(blob)
+        for read in (load_cube, read_label_values):
+            try:
+                read(path)
+            except CubeFormatError as exc:
+                message = str(exc)
+                assert message.startswith(f"{path}: "), message
+                offsets = [int(n) for n in re.findall(r"(?:byte|offset) (\d+)", message)]
+                assert offsets and max(offsets) <= len(blob), (blob, message)
