@@ -13,8 +13,7 @@ from .eta_regions import eta_bounded_regions
 from .flatzones import lambda_flat_zones
 from .grid import Connectivity, LabelMap, SpectralCube, relabel_dense
 from .io import (SegmentationReport, append_sweep_row, load_cube, read_cube,
-                 read_graymap_stack, read_labels, write_cube, write_labels,
-                 write_report)
+                 read_graymap_stack, write_cube, write_labels, write_report)
 from .metrics import EdgeWeights, MetricKind, build_edge_weights, build_metric
 from .mu_balls import mu_geodesic_balls
 from .pipeline import Pipeline, prepare
@@ -29,6 +28,6 @@ __all__ = [
     "SeedOrder", "SegmentationReport", "SpectralCube", "append_sweep_row",
     "build_edge_weights", "build_metric", "eta_bounded_regions",
     "lambda_flat_zones", "load_cube", "mu_geodesic_balls", "order_classes",
-    "prepare", "read_cube", "read_graymap_stack", "read_labels", "relabel_dense",
+    "prepare", "read_cube", "read_graymap_stack", "relabel_dense",
     "tooth_saw_cube", "write_cube", "write_labels", "write_report",
 ]

@@ -39,17 +39,22 @@ EXIT_CODES = (
 MAX_GRID_VALUES = 10_000
 
 
-def _pipeline(args: argparse.Namespace, algo: str, value: float | None) -> Pipeline:
-    """Check lambda and the pass's value, then load the cube and build the pipeline.
+def _pipeline(args: argparse.Namespace, algo: str,
+              value: float | None) -> tuple[Pipeline, Path]:
+    """Check lambda and the pass's value, load the cube, build the pipeline, make the out dir.
 
-    A flat run has no value and no seed order.
+    A flat run has no value and no seed order. The out dir is made after the
+    read, so a malformed input writes nothing, and before any seed ordering.
     """
     _check_nonneg("lambda", args.lam)
     if value is not None:
         _check_nonneg(algo, value)
     order = SeedOrder(args.seed_order) if args.seed_order else None
-    return prepare(load_cube(args.inputs), MetricKind(args.metric), args.lam,
-                   Connectivity(args.connectivity), order)
+    pipeline = prepare(load_cube(args.inputs), MetricKind(args.metric), args.lam,
+                       Connectivity(args.connectivity), order)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return pipeline, outdir
 
 
 def _report(args: argparse.Namespace, algorithm: str, param: float | None,
@@ -68,15 +73,12 @@ def _cmd_segment(args: argparse.Namespace) -> None:
     build, edge weights, flat zones, seed ordering and the pass.
     """
     started = time.perf_counter()
-    param = getattr(args, args.command, None)  # a flat run has no --flat value
-    pipeline = _pipeline(args, args.command, param)
-    labels = pipeline.flat if param is None else pipeline.refine(args.command, param)
+    pipeline, outdir = _pipeline(args, args.command, args.param)
+    labels = pipeline.flat if args.param is None else pipeline.refine(args.command, args.param)
     # the metric, neighbour table and ordering are not needed for writing, and
     # kept alive they would add their size to the run's peak memory
     del pipeline
-    report = _report(args, args.command, param, labels, started)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    report = _report(args, args.command, args.param, labels, started)
     write_labels(labels, outdir / label_file(labels))
     write_report(report, outdir / "report.txt")
     append_sweep_row(report, outdir / "sweep.csv")
@@ -107,9 +109,7 @@ def parse_grid(text: str) -> list[float]:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     """One row per grid value; each row's millis is that value's pass alone."""
     values = parse_grid(args.param_grid)
-    pipeline = _pipeline(args, args.algo, values[0])
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    pipeline, outdir = _pipeline(args, args.algo, values[0])
     for value in values:
         started = time.perf_counter()
         labels = pipeline.refine(args.algo, value)
@@ -181,18 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--constant", type=float, default=100.0)
 
     p_flat = sub.add_parser("flat", help="lambda-flat zones")
-    p_flat.set_defaults(func=_cmd_segment)
+    p_flat.set_defaults(func=_cmd_segment, param=None)
     _add_common(p_flat, seeds=False)
 
     p_eta = sub.add_parser("eta", help="eta-bounded regions inside flat zones")
     p_eta.set_defaults(func=_cmd_segment)
     _add_common(p_eta, seeds=True)
-    p_eta.add_argument("--eta", type=float, required=True)
+    p_eta.add_argument("--eta", dest="param", metavar="ETA", type=float, required=True)
 
     p_mu = sub.add_parser("mu", help="mu-geodesic balls inside flat zones")
     p_mu.set_defaults(func=_cmd_segment)
     _add_common(p_mu, seeds=True)
-    p_mu.add_argument("--mu", type=float, required=True)
+    p_mu.add_argument("--mu", dest="param", metavar="MU", type=float, required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid, appending CSV rows")
     p_sweep.set_defaults(func=_cmd_sweep)

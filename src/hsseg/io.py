@@ -246,11 +246,6 @@ def read_label_values(path) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def read_labels(path) -> LabelMap:
-    """Read a label map written by write_labels (labels must be dense)."""
-    return LabelMap(read_label_values(path))
-
-
 # ---------------------------------------------------------------------------
 # Run reports
 
@@ -299,10 +294,8 @@ def write_report(report: SegmentationReport, path) -> None:
 
 def append_sweep_row(report: SegmentationReport, path) -> None:
     """Append one CSV row, writing the header first on a fresh or empty file."""
-    path = Path(path)
-    needs_header = not path.exists() or path.stat().st_size == 0
     fields = _fields(report, sizes=False)
     with open(path, "a", encoding="ascii") as fh:
-        if needs_header:
+        if fh.tell() == 0:  # append mode opens at the end
             fh.write(",".join(fields) + "\n")
         fh.write(",".join(fields.values()) + "\n")

@@ -110,6 +110,10 @@ class EdgeWeights:
 
 def build_edge_weights(metric: SpectralCube,
                        connectivity: Connectivity = Connectivity.FOUR) -> EdgeWeights:
+    """The neighbour table of metric's grid, each step weighted by its spectral distance.
+
+    The differences are taken in blocks of _BLOCK_BYTES, or of one row if that is more.
+    """
     h, w, n = metric.height, metric.width, metric.pixel_count
     padded = np.full((h + 2, w + 2), -1, dtype=np.int32)
     padded[1:-1, 1:-1] = np.arange(n, dtype=np.int32).reshape(h, w)

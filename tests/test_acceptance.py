@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from hsseg import (Connectivity, MetricKind, SeedOrder, SpectralCube, build_metric,
-                   prepare, read_cube, read_graymap_stack, read_labels,
-                   relabel_dense, tooth_saw_cube, write_cube, write_labels)
+from hsseg import (Connectivity, LabelMap, MetricKind, SeedOrder, SpectralCube,
+                   build_metric, prepare, read_cube, read_graymap_stack, relabel_dense,
+                   tooth_saw_cube, write_cube, write_labels)
+from hsseg.io import read_label_values
 
 from conftest import flat_zones, library_distance, random_cube, region_seeds
 from oracles import (PixelIndex, classes_are_connected, eta_regions_bruteforce,
@@ -317,13 +318,13 @@ def test_criterion_9_io_roundtrips(tmp_path):
         labels = relabel_dense(raw)
         path = tmp_path / f"labels{i}.pgm"
         write_labels(labels, path)
-        back = read_labels(path)
+        back = LabelMap(read_label_values(path))
         if not np.array_equal(back.labels, labels.labels):
             failures += 1
     # one oversize map exercises the single-band cube fallback
     big = relabel_dense(np.arange(257 * 256).reshape(257, 256))
     path = tmp_path / "big.labels"
     write_labels(big, path)
-    if not np.array_equal(read_labels(path).labels, big.labels):
+    if not np.array_equal(LabelMap(read_label_values(path)).labels, big.labels):
         failures += 1
     report(9, failures == 0, f"50 round-trips, {failures} failures")

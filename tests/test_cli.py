@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import hsseg
-from hsseg import read_cube, read_labels
+from hsseg import LabelMap, read_cube
 from hsseg.cli import EXIT_CODES, MAX_GRID_VALUES, main, parse_grid
+from hsseg.io import read_label_values
 
 
 def run_cli(*args):
@@ -21,6 +22,22 @@ def saw_file(tmp_path):
     path = tmp_path / "saw.hsc"
     assert run_cli("synth", "tooth-saw", "--out", path) == 0
     return path
+
+
+@pytest.fixture
+def ordering_calls(monkeypatch):
+    """The seed order of each hsseg.seeds.class_orderings call; the calls still run."""
+    import hsseg.seeds
+
+    calls = []
+    inner = hsseg.seeds.class_orderings
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hsseg.seeds, "class_orderings", counted)
+    return calls
 
 
 def test_synth_writes_cube(saw_file):
@@ -43,7 +60,7 @@ def test_flat_run_reports_21_zones(saw_file, tmp_path, capsys):
     row, csv_millis = csv[1].rsplit(",", 1)
     assert (row, csv_millis) == ("flat,euclidean,9.9,,4,,21", millis.strip())
     assert len(csv) == 2
-    labels = read_labels(out / "labels.pgm")
+    labels = LabelMap(read_label_values(out / "labels.pgm"))
     assert labels.count == 21
 
 
@@ -129,7 +146,7 @@ def test_label_fallback_noted_in_report(tmp_path, capsys):
     last = (out / "report.txt").read_text().splitlines()[-2:]
     assert re.fullmatch(r"millis: \d+\.\d{3}", last[0])
     assert last[1] == "labels_format: hsc1"
-    back = read_labels(out / "labels.hsc")
+    back = LabelMap(read_label_values(out / "labels.hsc"))
     assert back.count == 257 * 256
 
 
@@ -292,6 +309,33 @@ def test_bounds_are_checked_before_the_read(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [("flat",), ("eta", "--eta", 1), ("mu", "--mu", 1),
+                                     ("sweep", "--algo", "mu", "--param", "0:1:1")])
+def test_outdir_is_made_before_any_ordering(saw_file, tmp_path, capsys, ordering_calls,
+                                            command):
+    # an out dir that cannot be made is a file error before any seed is ordered
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"")
+    assert run_cli(*command, "--input", saw_file, "--lambda", 10, "--outdir", taken) == 6
+    assert "[Errno 17] File exists" in capsys.readouterr().err
+    assert ordering_calls == []
+
+
+def test_failed_read_or_metric_makes_no_outdir(tmp_path):
+    # the out dir is made after the cube is read and its metric built
+    bad = tmp_path / "bad.hsc"
+    bad.write_bytes(b"XXXXXXXXXXXXXXXXXXXXX")
+    zero = tmp_path / "zero.pgm"
+    zero.write_bytes(b"P5\n2 1\n255\n\x00\x05")
+    for command in (("flat",), ("eta", "--eta", 1), ("mu", "--mu", 1),
+                    ("sweep", "--algo", "eta", "--param", "0:1:1")):
+        for path, extra, code in ((bad, (), 3), (zero, ("--metric", "chi2"), 4)):
+            out = tmp_path / "out"
+            assert run_cli(*command, "--input", path, "--lambda", 1, *extra,
+                           "--outdir", out) == code
+            assert not out.exists()
+
+
 def test_unexpected_failure_exits_1(saw_file, tmp_path, capsys, monkeypatch):
     # an exception no other row of the exit-code table names
     def broken(self, algo, value):
@@ -317,16 +361,17 @@ def test_help_epilog_lists_each_exit_code_once(capsys):
 
 def test_console_entry_point(tmp_path):
     saw = tmp_path / "saw.hsc"
+    env = dict(os.environ, PYTHONPATH=str(Path(hsseg.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "hsseg", "synth", "tooth-saw", "--out", str(saw)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert saw.exists()
     # unknown flags are rejected by the parser with the usage exit code
     proc = subprocess.run(
         [sys.executable, "-m", "hsseg", "flat", "--input", str(saw),
          "--lambda", "1", "--bogus"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
 
 
@@ -394,7 +439,7 @@ def test_public_api_is_pinned():
         "SeedOrder", "SegmentationReport", "SpectralCube", "append_sweep_row",
         "build_edge_weights", "build_metric", "eta_bounded_regions",
         "lambda_flat_zones", "load_cube", "mu_geodesic_balls", "order_classes",
-        "prepare", "read_cube", "read_graymap_stack", "read_labels", "relabel_dense",
+        "prepare", "read_cube", "read_graymap_stack", "relabel_dense",
         "tooth_saw_cube", "write_cube", "write_labels", "write_report"]
     for name in hsseg.__all__:
         assert getattr(hsseg, name).__module__.startswith("hsseg.")
@@ -465,29 +510,19 @@ def test_sweep_rows_match_standalone_runs(quantized_file, tmp_path, capsys,
         assert capsys.readouterr().out.strip() == f"regions: {row[6]}"
 
 
-def test_sweep_orders_seeds_once(saw_file, tmp_path, monkeypatch):
-    import hsseg.seeds
-
-    calls = []
-    inner = hsseg.seeds.class_orderings
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(hsseg.seeds, "class_orderings", counted)
+def test_sweep_orders_seeds_once(saw_file, tmp_path, ordering_calls):
     for algo in ("eta", "mu"):
         for grid in ("0:20:10", "0:100:10"):
-            calls.clear()
+            ordering_calls.clear()
             assert run_cli("sweep", "--algo", algo, "--input", saw_file,
                            "--lambda", 10, "--param", grid,
                            "--outdir", tmp_path / algo / grid.replace(":", "_")) == 0
-            assert len(calls) == 1
+            assert len(ordering_calls) == 1
     # a flat-zone run orders no seeds at all
-    calls.clear()
+    ordering_calls.clear()
     assert run_cli("flat", "--input", saw_file, "--lambda", 10,
                    "--outdir", tmp_path / "flat") == 0
-    assert calls == []
+    assert ordering_calls == []
 
 
 @pytest.mark.parametrize("command", [("eta", "--eta", 1), ("mu", "--mu", 1),

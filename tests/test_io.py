@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hsseg import (CubeFormatError, LabelMap, SegmentationReport, SpectralCube,
-                   append_sweep_row, read_cube, read_graymap_stack, read_labels,
-                   relabel_dense, write_cube, write_labels, write_report)
+                   append_sweep_row, read_cube, read_graymap_stack, relabel_dense,
+                   write_cube, write_labels, write_report)
 from hsseg.io import label_file, load_cube, read_label_values
 
 
@@ -119,7 +119,7 @@ def test_labels_roundtrip(tmp_path):
         labels = relabel_dense(raw)
         path = tmp_path / f"l{i}.pgm"
         write_labels(labels, path)
-        back = read_labels(path)
+        back = LabelMap(read_label_values(path))
         assert np.array_equal(back.labels, labels.labels)
         assert back.count == labels.count
 
@@ -130,7 +130,7 @@ def test_labels_hsc1_fallback(tmp_path):
     path = tmp_path / "big.labels"
     assert label_file(big) == "labels.hsc"
     write_labels(big, path)
-    back = read_labels(path)
+    back = LabelMap(read_label_values(path))
     assert np.array_equal(back.labels, big.labels)
 
 
@@ -435,6 +435,11 @@ def test_sweep_csv_idempotent_header(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("flat,euclidean,9.9,,4,,2,")
     assert sum(1 for ln in lines if ln.startswith("algorithm,")) == 1
+    # an existing empty file gets the header too
+    empty = tmp_path / "empty.csv"
+    empty.touch()
+    append_sweep_row(_report(), empty)
+    assert empty.read_text().splitlines() == lines[:2]
 
 
 def test_infinite_lambda_formatting(tmp_path):
